@@ -35,6 +35,7 @@ from .sampler import (
     SamplerStuckError,
     sample_posterior,
 )
+from .truth import estimate_truth_ladder
 
 EXIT_OK = 0
 EXIT_LOGIC = 1
@@ -100,10 +101,11 @@ def cmd_ev(args) -> int:
         raise SpecError("model spec carries no hypothesis")
     cfg = _sampler_config(args)
     sample = sample_posterior(model, cfg)
-    report = evalue(model, hyp, sample, args.nmax)
+    ladder = estimate_truth_ladder(sample, args.nmax)
+    report = evalue(model, hyp, sample, args.nmax, ladder=ladder)
     payload = report.to_dict()
     if args.threshold is not None:
-        comp_report = evalue(model, complement(hyp), sample, args.nmax)
+        comp_report = evalue(model, complement(hyp), sample, args.nmax, ladder=ladder)
         decision = gfbst_decide(report.ev, comp_report.ev, args.threshold)
         payload["ev_complement"] = comp_report.ev
         payload["decision"] = {0.0: "reject", 0.5: "agnostic", 1.0: "accept"}[decision.value]

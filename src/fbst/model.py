@@ -351,7 +351,7 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
         beta = th[..., : k + 1]
         lam = th[..., k + 1]
         resid = (beta - beta_hat) @ X.T
-        quad = (n - k) * s2 + np.sum(resid * resid, axis=-1)
+        quad = (n - k) * s2 + (resid * resid).sum(axis=-1)
         return -(n + 1) * lam - 0.5 * np.exp(-2.0 * lam) * quad
 
     def kernel(theta):

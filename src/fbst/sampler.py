@@ -3,10 +3,22 @@
 Chains draw their randomness from per-chain sub-seeds spawned from the
 master seed, so serial and (hypothetical) parallel execution produce
 bit-identical output for a fixed configuration.
+
+Chain c's stream, from `default_rng(SeedSequence(seed).spawn(chains)[c])`,
+is laid out as `steps x d` proposal normals, then `steps` acceptance
+uniforms, then, for hit-and-run only, `steps x d` direction normals.  The
+sampler reads each segment through its own generator, positioned at the
+segment's start by generating and discarding the segments before it
+(ziggurat normals consume a variable amount of the bit stream, so the
+generator cannot simply be advanced).  Randomness is generated
+`CHUNK` steps at a time, so its memory is O(CHUNK x chains x d) whatever
+the step count, and the draws equal, bit for bit, those of generating each
+segment in one call.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -15,6 +27,10 @@ from typing import Optional
 import numpy as np
 
 from .model import StatisticalModel, log_surprise
+
+# Steps of randomness generated at a time; bounds the sampler's random
+# buffers and changes no draw.
+CHUNK = 1024
 
 
 class SamplerStuckError(RuntimeError):
@@ -100,22 +116,24 @@ class SurpriseSample:
 def _crude_mode_search(model: StatisticalModel, start: np.ndarray, iters: int = 100) -> np.ndarray:
     """Coordinate search for a rough posterior mode (initialization only)."""
     theta = start.astype(float).copy()
-    best = float(model.log_kernel_safe(theta))
     step = np.ones(theta.size)
-    for _ in range(iters):
-        improved = False
-        for i in range(theta.size):
-            for sign in (1.0, -1.0):
-                cand = theta.copy()
-                cand[i] += sign * step[i]
-                val = float(model.log_kernel_safe(cand))
-                if val > best:
-                    theta, best = cand, val
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if np.all(step < 1e-10):
-                break
+    # probes may land on closed bounds, where kernels such as log(p) are -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        best = float(model.log_kernel_safe(theta))
+        for _ in range(iters):
+            improved = False
+            for i in range(theta.size):
+                for sign in (1.0, -1.0):
+                    cand = theta.copy()
+                    cand[i] += sign * step[i]
+                    val = float(model.log_kernel_safe(cand))
+                    if val > best:
+                        theta, best = cand, val
+                        improved = True
+            if not improved:
+                step *= 0.5
+                if np.all(step < 1e-10):
+                    break
     return theta
 
 
@@ -125,11 +143,33 @@ def _initial_point(model: StatisticalModel) -> np.ndarray:
     return _crude_mode_search(model, model.space.center())
 
 
+def _discard(draw, count: int, width: int) -> None:
+    """Advance a generator past `count` rows of `draw` (a bound method such
+    as `rng.standard_normal`), CHUNK rows at a time."""
+    buf = np.empty((min(CHUNK, count), width))
+    for first in range(0, count, CHUNK):
+        draw(out=buf[: min(CHUNK, count - first)])
+
+
+def _chain_streams(seq, steps: int, d: int, hit_and_run: bool) -> tuple:
+    """Generators at the starts of one chain's normals, uniforms and (for
+    hit-and-run) direction normals; see the module docstring."""
+    normals = np.random.default_rng(seq)
+    uniforms = np.random.default_rng(seq)
+    _discard(uniforms.standard_normal, steps, d)
+    if not hit_and_run:
+        return normals, uniforms, None
+    directions = copy.deepcopy(uniforms)
+    _discard(directions.random, steps, 1)
+    return normals, uniforms, directions
+
+
 def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSample:
     """Run the configured MCMC sampler and return retained draws with logS."""
     d = model.space.dimension
     start = _initial_point(model)
-    if not np.isfinite(model.log_kernel_safe(start)):
+    start_lk = float(model.log_kernel_safe(start))
+    if not np.isfinite(start_lk):
         raise InitializationError("posterior kernel not finite at the initial point")
 
     chol = model.proposal_chol
@@ -139,23 +179,22 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
     target = 0.44 if d == 1 else 0.234
     steps = cfg.burnin + cfg.draws * cfg.thin
     hit_and_run = cfg.algorithm == "hit-and-run"
+    space = model.space
+    # the bounds check of log_kernel_safe is needed only on bounded spaces;
+    # elsewhere the isfinite test below rejects what it would map to -inf
+    unbounded = np.all(space.lower == -np.inf) and np.all(space.upper == np.inf)
+    kernel = model.log_kernel if unbounded else model.log_kernel_safe
 
-    seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
-    # pre-generate per-chain randomness so chain c is reproducible on its own
-    zs = np.empty((steps, cfg.chains, d))
-    log_us = np.empty((steps, cfg.chains))
-    dirs = np.empty((steps, cfg.chains, d)) if hit_and_run else None
-    for c, seq in enumerate(seqs):
-        rng = np.random.default_rng(seq)
-        zs[:, c, :] = rng.standard_normal((steps, d))
-        log_us[:, c] = np.log(rng.random(steps))
-        if hit_and_run:
-            raw = rng.standard_normal((steps, d))
-            dirs[:, c, :] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    streams = [_chain_streams(seq, steps, d, hit_and_run)
+               for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.chains)]
+    zs = np.empty((min(CHUNK, steps), cfg.chains, d))
+    log_us = np.empty((zs.shape[0], cfg.chains))
+    dirs = np.empty_like(zs) if hit_and_run else None
 
     current = np.tile(start, (cfg.chains, 1))
-    cur_lk = np.full(cfg.chains, float(model.log_kernel_safe(start)))
+    cur_lk = np.full(cfg.chains, start_lk)
     log_scale = np.full(cfg.chains, math.log(base_scale))
+    scale = np.exp(log_scale)[:, None]
     block_acc = np.zeros(cfg.chains)
     accepted_after = np.zeros(cfg.chains)
 
@@ -163,33 +202,43 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
     retained_lk = np.empty((cfg.chains, cfg.draws))
     keep = 0
     block = 50
-    for t in range(steps):
-        scale = np.exp(log_scale)[:, None]
-        if hit_and_run:
-            # uniform direction on the sphere; 1-D Metropolis step along it
-            step = dirs[t] * (zs[t, :, :1] * scale)
-        else:
-            step = (zs[t] @ chol.T) * scale
-        proposal = current + step
-        prop_lk = np.asarray(model.log_kernel_safe(proposal), dtype=float)
-        with np.errstate(invalid="ignore"):
-            accept = log_us[t] < (prop_lk - cur_lk)
-        accept &= np.isfinite(prop_lk)
-        current[accept] = proposal[accept]
-        cur_lk[accept] = prop_lk[accept]
-        block_acc += accept
-        if t < cfg.burnin:
-            if (t + 1) % block == 0:
-                rate = block_acc / block
-                log_scale += 0.6 * (rate - target)
-                block_acc[:] = 0.0
-        else:
-            accepted_after += accept
-            k = t - cfg.burnin
-            if k % cfg.thin == 0:
-                retained[:, keep, :] = current
-                retained_lk[:, keep] = cur_lk
-                keep += 1
+    for first in range(0, steps, CHUNK):
+        n = min(CHUNK, steps - first)
+        for c, (normals, uniforms, directions) in enumerate(streams):
+            zs[:n, c, :] = normals.standard_normal((n, d))
+            log_us[:n, c] = np.log(uniforms.random(n))
+            if hit_and_run:
+                raw = directions.standard_normal((n, d))
+                dirs[:n, c, :] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        # Metropolis: the chunk's proposal directions in one stacked matmul,
+        # the same (chains, d) @ (d, d) product per step as one call a step
+        moves = None if hit_and_run else zs[:n] @ chol.T
+        for i in range(n):
+            t = first + i
+            if hit_and_run:
+                # uniform direction on the sphere; 1-D Metropolis step along it
+                proposal = current + dirs[i] * (zs[i, :, :1] * scale)
+            else:
+                proposal = current + moves[i] * scale
+            prop_lk = np.asarray(kernel(proposal), dtype=float)
+            # cur_lk is finite, so this cannot warn; isfinite rejects NaN and +inf
+            accept = log_us[i] < (prop_lk - cur_lk)
+            accept &= np.isfinite(prop_lk)
+            np.copyto(current, proposal, where=accept[:, None])
+            np.copyto(cur_lk, prop_lk, where=accept)
+            if t < cfg.burnin:
+                block_acc += accept
+                if (t + 1) % block == 0:
+                    rate = block_acc / block
+                    log_scale += 0.6 * (rate - target)
+                    scale = np.exp(log_scale)[:, None]
+                    block_acc[:] = 0.0
+            else:
+                accepted_after += accept
+                if (t - cfg.burnin) % cfg.thin == 0:
+                    retained[:, keep, :] = current
+                    retained_lk[:, keep] = cur_lk
+                    keep += 1
 
     post_steps = steps - cfg.burnin
     rates = accepted_after / max(post_steps, 1)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +12,96 @@ from fbst import (
     SurpriseSample,
     effective_sample_size,
     make_gaussian_mean_model,
+    make_polynomial_regression_model,
+    model_from_spec,
     sample_posterior,
 )
 from fbst.sampler import (
+    CHUNK,
     DegenerateSeriesError,
     InitializationError,
     SamplerStuckError,
+    _initial_point,
 )
+
+
+def _reference_sample(model, cfg):
+    """The sampler as first written: all randomness generated up front, one
+    plain step at a time.  sample_posterior must reproduce it bit for bit."""
+    d = model.space.dimension
+    start = _initial_point(model)
+    chol = model.proposal_chol if model.proposal_chol is not None else np.eye(d)
+    base_scale = cfg.scale if cfg.scale is not None else 2.38 / math.sqrt(d)
+    target = 0.44 if d == 1 else 0.234
+    steps = cfg.burnin + cfg.draws * cfg.thin
+    hit_and_run = cfg.algorithm == "hit-and-run"
+
+    seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
+    zs = np.empty((steps, cfg.chains, d))
+    log_us = np.empty((steps, cfg.chains))
+    dirs = np.empty((steps, cfg.chains, d)) if hit_and_run else None
+    for c, seq in enumerate(seqs):
+        rng = np.random.default_rng(seq)
+        zs[:, c, :] = rng.standard_normal((steps, d))
+        log_us[:, c] = np.log(rng.random(steps))
+        if hit_and_run:
+            raw = rng.standard_normal((steps, d))
+            dirs[:, c, :] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+    current = np.tile(start, (cfg.chains, 1))
+    cur_lk = np.full(cfg.chains, float(model.log_kernel_safe(start)))
+    log_scale = np.full(cfg.chains, math.log(base_scale))
+    block_acc = np.zeros(cfg.chains)
+    accepted_after = np.zeros(cfg.chains)
+    retained = np.empty((cfg.chains, cfg.draws, d))
+    retained_lk = np.empty((cfg.chains, cfg.draws))
+    keep = 0
+    for t in range(steps):
+        scale = np.exp(log_scale)[:, None]
+        if hit_and_run:
+            step = dirs[t] * (zs[t, :, :1] * scale)
+        else:
+            step = (zs[t] @ chol.T) * scale
+        proposal = current + step
+        prop_lk = np.asarray(model.log_kernel_safe(proposal), dtype=float)
+        with np.errstate(invalid="ignore"):
+            accept = log_us[t] < (prop_lk - cur_lk)
+        accept &= np.isfinite(prop_lk)
+        current[accept] = proposal[accept]
+        cur_lk[accept] = prop_lk[accept]
+        block_acc += accept
+        if t < cfg.burnin:
+            if (t + 1) % 50 == 0:
+                log_scale += 0.6 * (block_acc / 50 - target)
+                block_acc[:] = 0.0
+        else:
+            accepted_after += accept
+            if (t - cfg.burnin) % cfg.thin == 0:
+                retained[:, keep, :] = current
+                retained_lk[:, keep] = cur_lk
+                keep += 1
+
+    draws = retained.reshape(cfg.chains * cfg.draws, d)
+    half = cfg.draws // 2
+    first = retained[:, :half, :].reshape(-1, d)
+    second = retained[:, half:2 * half, :].reshape(-1, d)
+    se = np.sqrt(first.var(axis=0) / half + second.var(axis=0) / half) + 1e-300
+    flags = np.abs(first.mean(axis=0) - second.mean(axis=0)) > 4.0 * se
+    return SurpriseSample(
+        draws=draws,
+        log_surprise=retained_lk.reshape(-1) - model.log_reference_at(draws),
+        acceptance_rates=accepted_after / (steps - cfg.burnin),
+        config=cfg,
+        stationarity_flags=flags,
+    )
+
+
+# 7 log p + 13 log(1 - p) on the closed interval [0, 1]: its bounds are -inf
+BETA_SPEC = {"family": "generic", "coordinates": ["p"],
+             "log_kernel": "7*log(p) + 13*log(1-p)", "bounds": [[0, 1]]}
+BOUNDED_SPEC = {"family": "generic", "coordinates": ["p", "q"],
+                "log_kernel": "7*log(p) + 13*log(1-p) - 0.5*(q - p)*(q - p)",
+                "bounds": [[0, 1], [None, None]]}
 
 
 def _manual_sample(values, seed=0):
@@ -116,6 +201,14 @@ class TestSamplePosterior:
                 ba = np.sum((bins[:-1] == b) & (bins[1:] == a))
                 assert abs(ab - ba) <= 3.0 * math.sqrt(ab + ba + 1)
 
+    def test_closed_bounds_raise_no_warning(self):
+        model, _ = model_from_spec(BETA_SPEC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = sample_posterior(model, SamplerConfig(seed=0, chains=2, draws=1_000, burnin=200))
+        assert np.all((s.draws > 0.0) & (s.draws < 1.0))
+        assert abs(s.draws.mean() - 8 / 22) < 0.05  # the mean of Beta(8, 14)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(draws=10)
@@ -123,6 +216,66 @@ class TestSamplePosterior:
             SamplerConfig(algorithm="nuts")
         with pytest.raises(ValueError):
             SamplerConfig(scale=-1.0)
+
+
+def _regression(k):
+    return lambda table2: make_polynomial_regression_model(table2, k)
+
+
+BIT_IDENTITY_CASES = {
+    "metropolis-order3": (_regression(3), SamplerConfig(seed=7, chains=4, draws=1_000, burnin=500)),
+    "gaussian-one-chain": (lambda _: make_gaussian_mean_model(1.0, 2.0),
+                           SamplerConfig(seed=1, chains=1, draws=1_000, burnin=300)),
+    "hit-and-run-order2": (_regression(2), SamplerConfig(
+        algorithm="hit-and-run", seed=2, chains=3, draws=1_000, burnin=400)),
+    "bounded-generic": (lambda _: model_from_spec(BOUNDED_SPEC)[0],
+                        SamplerConfig(seed=4, chains=2, draws=1_000, burnin=300)),
+    "thin3-order1": (_regression(1), SamplerConfig(seed=5, chains=2, draws=1_000, burnin=200, thin=3)),
+    # 777 + 3 * 1000 steps: several chunks, the last one partial
+    "chunks-hit-and-run": (lambda _: make_gaussian_mean_model(1.0, 2.0), SamplerConfig(
+        algorithm="hit-and-run", seed=6, chains=2, draws=1_000, burnin=777, thin=3)),
+}
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("case", sorted(BIT_IDENTITY_CASES))
+    def test_matches_reference(self, case, table2):
+        build, cfg = BIT_IDENTITY_CASES[case]
+        model = build(table2)
+        got = sample_posterior(model, cfg)
+        want = _reference_sample(model, cfg)
+        assert np.array_equal(got.draws, want.draws)
+        assert np.array_equal(got.log_surprise, want.log_surprise)
+        assert np.array_equal(got.acceptance_rates, want.acceptance_rates)
+        assert np.array_equal(got.stationarity_flags, want.stationarity_flags)
+
+    def test_case_spans_partial_chunks(self):
+        cfg = BIT_IDENTITY_CASES["chunks-hit-and-run"][1]
+        steps = cfg.burnin + cfg.draws * cfg.thin
+        assert steps > 2 * CHUNK and steps % CHUNK != 0
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRandomnessMemory:
+    BOUND = 400_000  # bytes
+
+    def test_peak_bounded_by_chunk_not_steps(self):
+        # 20_000 steps per chain, 1000 retained: the reference holds every
+        # step's randomness at once, the chunked sampler CHUNK steps of it.
+        # Measured peaks (numpy 2.4, CHUNK = 1024): reference 962 kB,
+        # sample_posterior 137 kB.
+        model = make_gaussian_mean_model(0.0, 1.0)
+        cfg = SamplerConfig(seed=0, chains=2, draws=1_000, burnin=0, thin=20)
+        assert _peak_bytes(sample_posterior, model, cfg) < self.BOUND
+        assert _peak_bytes(_reference_sample, model, cfg) > self.BOUND
 
 
 class TestEffectiveSampleSize:
