@@ -105,7 +105,8 @@ def cmd_ev(args) -> int:
     report = evalue(model, hyp, sample, args.nmax, ladder=ladder)
     payload = report.to_dict()
     if args.threshold is not None:
-        comp_report = evalue(model, complement(hyp), sample, args.nmax, ladder=ladder)
+        comp_report = evalue(model, complement(hyp), sample, args.nmax, ladder=ladder,
+                             ess=report.ess)
         decision = gfbst_decide(report.ev, comp_report.ev, args.threshold)
         payload["ev_complement"] = comp_report.ev
         payload["decision"] = {0.0: "reject", 0.5: "agnostic", 1.0: "accept"}[decision.value]

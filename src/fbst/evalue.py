@@ -1,78 +1,23 @@
 """e-values, standardized e-values, and chi-square standardization numerics.
 
-The chi-square CDF is the regularized lower incomplete gamma function,
-computed by power series for small arguments and by continued fraction
-otherwise (absolute accuracy ~1e-13).
+The chi-square CDF Q(d, z) is the regularized lower incomplete gamma
+function P(d/2, z/2), and its quantile is 2 P^{-1}(d/2, c); both come from
+scipy.special (gammainc, gammaincinv).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.special import gammainc, gammaincinv
 
 from .model import Hypothesis, StatisticalModel
 from .optimizer import Optimum, OptimizerConfig, maximize_surprise
 from .sampler import DegenerateSeriesError, SurpriseSample, effective_sample_size
 from .truth import TruthLadder, estimate_truth_ladder, eval_truth
-
-_EPS = 1e-15
-_ITMAX = 1000
-
-
-def _gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by series, x < a + 1."""
-    if x <= 0:
-        return 0.0
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(_ITMAX):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by continued fraction."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _ITMAX):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_gamma_p(a: float, x: float) -> float:
-    if x < 0 or a <= 0:
-        raise ValueError("need x >= 0 and a > 0")
-    if x == 0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    if x < a + 1.0:
-        return min(1.0, _gamma_series(a, x))
-    return min(1.0, max(0.0, 1.0 - _gamma_cf(a, x)))
 
 
 def chi2_cdf(d: int, z: float) -> float:
@@ -81,44 +26,16 @@ def chi2_cdf(d: int, z: float) -> float:
         raise ValueError("degrees of freedom must be >= 1")
     if z < 0:
         raise ValueError("z must be non-negative")
-    return regularized_gamma_p(d / 2.0, z / 2.0)
-
-
-def _chi2_pdf(d: int, z: float) -> float:
-    if z <= 0:
-        return 0.0 if d != 2 else 0.5
-    a = d / 2.0
-    return math.exp((a - 1.0) * math.log(z / 2.0) - z / 2.0 - math.lgamma(a)) / 2.0
+    return float(gammainc(d / 2.0, z / 2.0))
 
 
 def chi2_quantile(d: int, c: float) -> float:
-    """Inverse of chi2_cdf in the second argument, |dQ| <= 1e-12."""
+    """Inverse of chi2_cdf in the second argument."""
     if d < 1:
         raise ValueError("degrees of freedom must be >= 1")
     if not 0.0 <= c <= 1.0:
         raise ValueError("c must lie in [0, 1]")
-    if c == 0.0:
-        return 0.0
-    if c == 1.0:
-        return math.inf
-    lo, hi = 0.0, float(d)
-    while chi2_cdf(d, hi) < c:
-        hi *= 2.0
-        if hi > 1e12:
-            break
-    z = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = chi2_cdf(d, z) - c
-        if abs(f) <= 1e-13:
-            break
-        if f > 0:
-            hi = z
-        else:
-            lo = z
-        df = _chi2_pdf(d, z)
-        step = z - f / df if df > 0 else 0.5 * (lo + hi)
-        z = step if lo < step < hi else 0.5 * (lo + hi)
-    return z
+    return 2.0 * float(gammaincinv(d / 2.0, c))
 
 
 def standardize(t: int, h: int, c: float) -> float:
@@ -131,10 +48,6 @@ def standardize(t: int, h: int, c: float) -> float:
         # Q is only defined for positive degrees of freedom; the slack
         # full-dimension case passes the significance value through
         return c
-    if c == 0.0:
-        return 0.0
-    if c == 1.0:
-        return 1.0
     return chi2_cdf(t - h, chi2_quantile(t, c))
 
 
@@ -192,18 +105,24 @@ def evalue(
     opt_cfg: Optional[OptimizerConfig] = None,
     ladder: Optional[TruthLadder] = None,
     optimum: Optional[Optimum] = None,
+    ess: Optional[float] = None,
 ) -> EvidenceReport:
-    """ev(H|X) = W(s*) from a posterior sample, with diagnostics."""
+    """ev(H|X) = W(s*) from a posterior sample, with diagnostics.
+
+    `ladder`, `optimum` and `ess` may be passed in when they were already
+    computed on the same sample; each one left out is computed here.
+    """
     if ladder is None:
         ladder = estimate_truth_ladder(sample, n_max)
     if optimum is None:
         optimum = maximize_surprise(model, H, sample, opt_cfg)
     ev = float(eval_truth(ladder, optimum.log_s_star))
     t = model.space.dimension
-    try:
-        ess = effective_sample_size(sample)
-    except (DegenerateSeriesError, ValueError):
-        ess = None
+    if ess is None:
+        try:
+            ess = effective_sample_size(sample)
+        except (DegenerateSeriesError, ValueError):
+            ess = None
     report = EvidenceReport(
         ev=ev,
         ev_bar=1.0 - ev,

@@ -87,13 +87,12 @@ class TestEv:
         assert payload["ev"] < 0.06
         assert payload["t"] == 4 and payload["hdim"] == 3
 
-    def test_decision_estimates_one_ladder(self, tmp_path, capsys, table2, monkeypatch):
-        import fbst.cli
-
+    def _decide_b2(self, tmp_path, capsys, table2, monkeypatch, module, name):
+        """`fbst ev --threshold 0.05` for b2 = 0 on the order-2 regression at
+        seed 0, counting the calls of module.name."""
         calls = []
-        estimate = fbst.cli.estimate_truth_ladder
-        monkeypatch.setattr(fbst.cli, "estimate_truth_ladder",
-                            lambda *a: calls.append(a) or estimate(*a))
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(a) or inner(*a))
         csv = tmp_path / "data.csv"
         table2.to_csv(csv)
         spec = write_spec(tmp_path, {"family": "polynomial-regression", "order": 2,
@@ -101,11 +100,26 @@ class TestEv:
         code, payload = run(capsys, ["ev", spec, "--data", str(csv), "--seed", "0",
                                      "--threshold", "0.05"] + FAST)
         assert code == 0
-        assert len(calls) == 1
-        # the figures of the version that estimated the ladder once per evalue call
+        # the figures of the version that estimated the ladder and the ESS
+        # once per evalue call
         assert payload["ev"] == 0.009875
         assert payload["ev_complement"] == 1.0
         assert payload["decision"] == "reject"
+        return calls
+
+    def test_decision_estimates_one_ladder(self, tmp_path, capsys, table2, monkeypatch):
+        import fbst.cli
+
+        calls = self._decide_b2(tmp_path, capsys, table2, monkeypatch,
+                                fbst.cli, "estimate_truth_ladder")
+        assert len(calls) == 1
+
+    def test_decision_computes_one_ess(self, tmp_path, capsys, table2, monkeypatch):
+        import sys
+
+        calls = self._decide_b2(tmp_path, capsys, table2, monkeypatch,
+                                sys.modules["fbst.evalue"], "effective_sample_size")
+        assert len(calls) == 1
 
     def test_missing_spec_file_exits_2(self, tmp_path, capsys):
         assert main(["ev", str(tmp_path / "nope.json"), "--seed", "0"]) == 2

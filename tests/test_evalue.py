@@ -80,6 +80,33 @@ class TestStandardize:
         vals = [standardize(5, 2, c) for c in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    def test_tails_against_mpmath(self):
+        # 40-digit oracle: the chi-square quantile by Newton's method in
+        # u = log z on the log of the smaller tail, which is concave in u
+        mp = pytest.importorskip("mpmath")
+
+        def sigma(t, h, c):
+            a, c = mp.mpf(t) / 2, mp.mpf(c)
+            lower = c < 0.5
+            target = mp.log(c if lower else 1 - c)
+            u = mp.log(t)
+            for _ in range(200):
+                z = mp.exp(u)
+                tail = mp.gammainc(a, 0, z / 2, regularized=True) if lower else (
+                    mp.gammainc(a, z / 2, mp.inf, regularized=True))
+                slope = z * (z / 2) ** (a - 1) * mp.exp(-z / 2) / (2 * mp.gamma(a)) / tail
+                step = (mp.log(tail) - target) / (slope if lower else -slope)
+                u -= step
+                if abs(step) < mp.mpf(10) ** -30:
+                    break
+            return float(mp.gammainc(mp.mpf(t - h) / 2, 0, mp.exp(u) / 2, regularized=True))
+
+        with mp.workdps(40):
+            for t in range(1, 11):
+                for h in range(t):
+                    for c in (1e-9, 1e-6, 1 - 1e-6, 1 - 1e-9):
+                        assert standardize(t, h, c) == pytest.approx(sigma(t, h, c), abs=1e-12)
+
     def test_edges(self):
         assert standardize(4, 1, 0.0) == 0.0
         assert standardize(4, 1, 1.0) == 1.0
