@@ -51,7 +51,6 @@ def _manifest(command: str, args_dict: dict, seed, started: float) -> dict:
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:16],
         "seed": seed,
         "version": __version__,
-        "threads": int(os.environ.get("FBST_THREADS", "1")),
         "elapsed_s": round(time.monotonic() - started, 3),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }

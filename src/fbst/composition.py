@@ -7,6 +7,7 @@ sums of log-supports, so k-fold products cannot underflow.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -143,16 +144,7 @@ def analyze_network(
     cfg = sampler_cfg or SamplerConfig()
     ladders, samples = [], []
     for j, m in enumerate(models):
-        sub = SamplerConfig(
-            algorithm=cfg.algorithm,
-            chains=cfg.chains,
-            draws=cfg.draws,
-            burnin=cfg.burnin,
-            thin=cfg.thin,
-            scale=cfg.scale,
-            seed=cfg.seed + j,
-        )
-        s = sample_posterior(m, sub)
+        s = sample_posterior(m, dataclasses.replace(cfg, seed=cfg.seed + j))
         samples.append(s)
         ladders.append(estimate_truth_ladder(s, n_max))
     grid = np.full((len(rows), k), np.nan)

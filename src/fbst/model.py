@@ -92,8 +92,6 @@ class StatisticalModel:
     log_kernel: Callable
     log_reference: Optional[Callable] = None
     family: str = "generic"
-    n_obs: Optional[int] = None
-    s_dim: Optional[int] = None
     mode: Optional[np.ndarray] = None
     proposal_chol: Optional[np.ndarray] = None
     extra: dict = field(default_factory=dict)
@@ -374,8 +372,6 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
         log_kernel=kernel,
         log_reference=reference,
         family="polynomial-regression",
-        n_obs=n,
-        s_dim=1,
         mode=mode,
         proposal_chol=chol,
         extra={

@@ -8,6 +8,7 @@ column is exactly penalty_factor * empirical_error.  The AIC column uses
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -113,9 +114,6 @@ class SelectionRow:
     def d(self) -> int:
         return self.order + 2
 
-    def q_ratio(self, n: int) -> float:
-        return self.d / n
-
     def penalized(self, criterion: str) -> float:
         return getattr(self, f"r_{criterion}")
 
@@ -175,15 +173,7 @@ def selection_table(
         )
         if with_evalues:
             base = sampler_cfg or SamplerConfig()
-            cfg = SamplerConfig(
-                algorithm=base.algorithm,
-                chains=base.chains,
-                draws=base.draws,
-                burnin=base.burnin,
-                thin=base.thin,
-                scale=base.scale,
-                seed=base.seed + 1000 * k,
-            )
+            cfg = dataclasses.replace(base, seed=base.seed + 1000 * k)
             report = evalue_top_coefficient(data, k, cfg, n_max)
             row.ev = report.ev
             row.sev = report.sev

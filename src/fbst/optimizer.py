@@ -1,9 +1,21 @@
 """Constrained maximization of the surprise function over a hypothesis set.
 
-Closed-form paths cover the built-in families; the general path runs
-multistart local ascent on a quadratic-penalty sequence seeded from the
-best posterior draws, with a simulated-annealing fallback when restarts
-disagree (multimodality flag).
+s* = sup over H of the surprise, found by the first rule that applies:
+
+- exact feasibility: when every equality is affine (`linear_equalities`),
+  `np.linalg.lstsq` on A theta = b checks the system; an inconsistent one
+  raises InfeasibleHypothesisError at once, and redundant rows are dropped;
+- mode in H: a built-in family's exact mode is the answer when H has no
+  equalities and contains it, since sup_H s <= sup_Theta s = s(mode);
+- affine closed forms: equalities that pin one point, and any consistent
+  A beta = b on a polynomial regression's beta block (beta_hat projected in
+  the X'X metric, sigma from the profile of the posterior exponent);
+- everything else: scipy's SLSQP from the best posterior draws and the
+  model's mode, given the equalities, the inequalities and the space's
+  bounds.  The complement of a set with an equality has Theta as its
+  closure, so it is solved unconstrained; the complement of an
+  inequality-only set {g_i <= 0 for all i} takes the largest over i of the
+  suprema over {g_i >= 0}.
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, minimize
 
 from .model import (
     Hypothesis,
@@ -24,7 +36,14 @@ from .model import (
 from .sampler import SurpriseSample
 
 EPS_OPT = 1e-8
-REL_TOL = 1e-10
+AFFINE_TOL = 1e-9  # relative least-squares residual of a consistent A theta = b
+SLSQP_OPTIONS = {"ftol": 1e-12, "maxiter": 500}
+# finite stand-in for -log s where s vanishes (e.g. log(0) on a closed
+# bound, or an overflow far out), so that SLSQP's line search and
+# difference quotients stay finite
+WALL = 1e10
+# families whose `mode` is the exact maximizer of the surprise
+EXACT_MODE_FAMILIES = ("gaussian-mean", "polynomial-regression")
 
 
 class UnboundedSurpriseError(RuntimeError):
@@ -33,15 +52,15 @@ class UnboundedSurpriseError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """`restarts`: how many of the best posterior draws start SLSQP, besides
+    the model's mode.
+
+    `outer_iterations` is accepted and ignored: it counted the rounds of the
+    quadratic-penalty ladder that SLSQP replaced, and callers still pass it.
+    """
+
     restarts: int = 32
-    penalty_start: float = 1.0
-    penalty_growth: float = 10.0
     outer_iterations: int = 8
-    annealing_proposals: int = 50_000
-    annealing_t0: float = 1.0
-    annealing_t1: float = 1e-4
-    multimodality_gap: float = 1e-3
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -50,7 +69,7 @@ class Optimum:
 
     log_s_star: float
     theta_star: np.ndarray
-    method: str  # closed-form | multistart | annealing
+    method: str  # closed-form | multistart
     eq_residual: float
     ineq_residual: float
     restarts: int = 0
@@ -81,178 +100,133 @@ def _finish(model, H, theta, method, restarts=0) -> Optimum:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form paths
+# Exact paths
 # ---------------------------------------------------------------------------
 
 
-def closed_form_constrained_mode(model: StatisticalModel, a: np.ndarray) -> Optimum:
-    """Constrained surprise maximizer of a polynomial-regression model
-    under a single linear equality a . beta = 0.
-
-    beta_tilde projects beta_hat onto the constraint in the X'X metric;
-    sigma_tilde maximizes the profile of the posterior exponent.
-    """
-    if model.family != "polynomial-regression":
-        raise ValueError("closed form requires the polynomial-regression family")
+def _regression_mode_on(model: StatisticalModel, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Surprise maximizer of a polynomial regression under A beta = b
+    (A of full row rank)."""
     ex = model.extra
     XtX_inv, beta_hat = ex["XtX_inv"], ex["beta_hat"]
     n, k, s2 = ex["n"], ex["k"], ex["s2"]
-    a = np.asarray(a, dtype=float)
-    denom = float(a @ XtX_inv @ a)
-    if denom <= 0:
+    M = A @ XtX_inv @ A.T
+    if np.linalg.matrix_rank(M) < len(A):
         raise ValueError("degenerate constraint direction")
-    beta_tilde = beta_hat - XtX_inv @ a * (float(a @ beta_hat) / denom)
+    beta_tilde = beta_hat - XtX_inv @ A.T @ np.linalg.solve(M, A @ beta_hat - b)
     diff = beta_tilde - beta_hat
     quad = float(diff @ ex["XtX"] @ diff)
     sigma2 = ((n - k) * s2 + quad) / (n + 1)
-    theta = np.concatenate([beta_tilde, [0.5 * math.log(sigma2)]])
-    eqs = (lambda th: np.asarray(th)[..., : k + 1] @ a,)
-    H = Hypothesis(equalities=eqs, label="a.beta=0")
-    return _finish(model, H, theta, "closed-form")
+    return np.concatenate([beta_tilde, [0.5 * math.log(sigma2)]])
 
 
-def _unconstrained_mode(model: StatisticalModel) -> Optional[np.ndarray]:
-    """Exact surprise mode for built-in families (None when unknown)."""
-    if model.family == "gaussian-mean":
-        return np.array([model.extra["mean"]])
-    if model.family == "polynomial-regression":
-        ex = model.extra
-        sigma2 = (ex["n"] - ex["k"]) * ex["s2"] / (ex["n"] + 1)
-        return np.concatenate([ex["beta_hat"], [0.5 * math.log(sigma2)]])
-    return None
+def closed_form_constrained_mode(model: StatisticalModel, A, b=0.0) -> Optimum:
+    """Constrained surprise maximizer of a polynomial-regression model under
+    the linear equalities A beta = b; one row `a` gives a . beta = b.
+
+    beta_tilde = beta_hat - (X'X)^-1 A' (A (X'X)^-1 A')^-1 (A beta_hat - b)
+    projects beta_hat onto the constraints in the X'X metric; sigma_tilde
+    maximizes the profile of the posterior exponent.
+    """
+    if model.family != "polynomial-regression":
+        raise ValueError("closed form requires the polynomial-regression family")
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.broadcast_to(np.asarray(b, dtype=float), (len(A),))
+    theta = _regression_mode_on(model, A, b)
+    k = model.extra["k"]
+    eqs = tuple(lambda th, a=a, c=c: np.asarray(th)[..., : k + 1] @ a - c for a, c in zip(A, b))
+    return _finish(model, Hypothesis(equalities=eqs, label="A.beta=b"), theta, "closed-form")
 
 
-def _try_closed_form(model: StatisticalModel, H: Hypothesis) -> Optional[Optimum]:
-    d = model.space.dimension
-    if H.negated_of is None and not H.equalities and not H.inequalities:
-        mode = _unconstrained_mode(model)
-        if mode is not None:
-            return _finish(model, H, mode, "closed-form")
-    if H.negated_of is not None and H.negated_of.is_sharp:
-        # complement of a sharp set: the global mode is generically inside
-        mode = _unconstrained_mode(model)
-        if mode is not None and bool(H.contains(mode)):
-            return _finish(model, H, mode, "closed-form")
+def _affine_system(H: Hypothesis):
+    """(A, b, rows) for H's equalities when every one is affine, with the
+    redundant rows dropped (`rows` indexes the kept ones), else None.
+
+    Raises InfeasibleHypothesisError when A theta = b is inconsistent.
+    """
     lins = H.linear_equalities
-    if lins is None or H.negated_of is not None or H.inequalities:
-        return None
-    if len(lins) != len(H.equalities):
+    if H.negated_of is not None or not lins or len(lins) != len(H.equalities):
         return None
     A = np.array([le.coeffs for le in lins])
     b = -np.array([le.offset for le in lins])
-    if len(lins) == d and abs(np.linalg.det(A)) > 1e-12:
-        # constraints pin a unique point
+    x = np.linalg.lstsq(A, b, rcond=None)[0]
+    if np.linalg.norm(A @ x - b) > AFFINE_TOL * max(1.0, float(np.linalg.norm(b))):
+        raise InfeasibleHypothesisError("the affine equalities are inconsistent")
+    rows = []
+    for i in range(len(A)):
+        if np.linalg.matrix_rank(A[rows + [i]]) > len(rows):
+            rows.append(i)
+    return A[rows], b[rows], rows
+
+
+def _exact_optimum(model: StatisticalModel, H: Hypothesis, affine) -> Optional[np.ndarray]:
+    mode = model.mode if model.family in EXACT_MODE_FAMILIES else None
+    if mode is not None and not H.equalities and bool(H.contains(mode)):
+        return np.array(mode, dtype=float)
+    if affine is None or H.inequalities:
+        return None
+    A, b, _ = affine
+    if len(A) == model.space.dimension:
+        # the constraints pin a unique point
         theta = np.linalg.solve(A, b)
         if not model.space.contains(theta):
             raise InfeasibleHypothesisError("pinned point outside parameter bounds")
-        return _finish(model, H, theta, "closed-form")
-    if (
-        model.family == "polynomial-regression"
-        and len(lins) == 1
-        and lins[0].offset == 0.0
-        and lins[0].coeffs[-1] == 0.0
-    ):
-        return closed_form_constrained_mode(model, lins[0].coeffs[:-1])
-    if model.family == "gaussian-mean" and len(lins) == 1 and abs(lins[0].coeffs[0]) > 1e-12:
-        theta = np.array([b[0] / A[0, 0]])
-        return _finish(model, H, theta, "closed-form")
+        return theta
+    if model.family == "polynomial-regression" and not A[:, -1].any():
+        return _regression_mode_on(model, A[:, :-1], b)
     return None
 
 
 # ---------------------------------------------------------------------------
-# Generic path
+# General path
 # ---------------------------------------------------------------------------
 
 
-def _penalized(model, H, weight):
+def _starts(model, H, sample, cfg) -> list:
+    """The best distinct posterior draws, members of H first, then the
+    model's mode (the space's center when there is neither)."""
+    starts = []
+    if sample is not None and sample.size > 0 and cfg.restarts > 0:
+        order = np.argsort(sample.log_surprise)[::-1]
+        pool = sample.draws[order[: cfg.restarts * 4]]
+        # a rejected Metropolis proposal repeats its draw; SLSQP is deterministic
+        _, first = np.unique(pool, axis=0, return_index=True)
+        pool = pool[np.sort(first)]
+        if H.negated_of is not None or H.equalities or H.inequalities:
+            member = H.contains(pool)
+            pool = np.concatenate([pool[member], pool[~member]])
+        starts.extend(pool[: cfg.restarts])
+    if model.mode is not None:
+        starts.append(np.asarray(model.mode, dtype=float))
+    if not starts:
+        starts.append(model.space.center())
+    return starts
+
+
+def _subproblems(H: Hypothesis, affine) -> list:
+    """Hypotheses whose closures' suprema have H's supremum as their maximum."""
     inner = H.negated_of
+    if inner is None:
+        if affine is None:
+            return [H]
+        eqs = tuple(H.equalities[i] for i in affine[2])
+        return [Hypothesis(inequalities=H.inequalities, equalities=eqs)]
+    if inner.equalities:
+        return [Hypothesis()]
+    return [Hypothesis(inequalities=(lambda th, g=g: -g(th),)) for g in inner.inequalities]
 
+
+def _slsqp(model, sub: Hypothesis, theta0, bounds) -> np.ndarray:
     def objective(theta):
-        val = _surprise_at(model, theta)
-        if not np.isfinite(val):
-            return 1e300
-        pen = 0.0
-        if inner is not None:
-            # complement set: hard-wall on membership of the inner set
-            if inner.contains(theta):
-                return 1e300
-        else:
-            for h in H.equalities:
-                pen += float(h(theta)) ** 2
-            for g in H.inequalities:
-                pen += max(0.0, float(g(theta))) ** 2
-        return -val + weight * pen
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            val = _surprise_at(model, theta)
+        return -val if np.isfinite(val) else WALL
 
-    return objective
-
-
-def _project_equalities(H: Hypothesis, theta: np.ndarray) -> np.ndarray:
-    """One Gauss-Newton step toward h(theta) = 0 (numeric Jacobian)."""
-    if not H.equalities or H.negated_of is not None:
-        return theta
-    h0 = np.array([float(h(theta)) for h in H.equalities])
-    J = np.zeros((len(H.equalities), theta.size))
-    eps = 1e-6
-    for j in range(theta.size):
-        step = np.zeros(theta.size)
-        step[j] = eps
-        hp = np.array([float(h(theta + step)) for h in H.equalities])
-        J[:, j] = (hp - h0) / eps
-    try:
-        delta = np.linalg.lstsq(J, -h0, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        return theta
-    return theta + delta
-
-
-def _refine_feasibility(H: Hypothesis, theta: np.ndarray, iters: int = 25) -> np.ndarray:
-    """Polish residual constraint violations left by the finite penalty
-    weights with Gauss-Newton steps on the active constraints."""
-    if H.negated_of is not None:
-        return theta
-    theta = np.asarray(theta, dtype=float).copy()
-    eps = 1e-7
-    for _ in range(iters):
-        funcs = list(H.equalities)
-        funcs += [g for g in H.inequalities if float(g(theta)) > 0.0]
-        if not funcs:
-            return theta
-        r0 = np.array([float(f(theta)) for f in funcs])
-        if np.max(np.abs(r0)) <= EPS_OPT * 1e-2:
-            return theta
-        J = np.zeros((len(funcs), theta.size))
-        for j in range(theta.size):
-            step = np.zeros(theta.size)
-            step[j] = eps
-            J[:, j] = (np.array([float(f(theta + step)) for f in funcs]) - r0) / eps
-        try:
-            delta = np.linalg.lstsq(J, -r0, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return theta
-        theta = theta + delta
-    return theta
-
-
-def _annealing(model, H, start, cfg: OptimizerConfig) -> np.ndarray:
-    """Geometric-cooling Metropolis search on the penalized objective."""
-    rng = np.random.default_rng(cfg.seed + 1)
-    obj = _penalized(model, H, 1e6)
-    theta = start.copy()
-    cur = obj(theta)
-    best, best_val = theta.copy(), cur
-    n = cfg.annealing_proposals
-    ratio = (cfg.annealing_t1 / cfg.annealing_t0) ** (1.0 / max(n - 1, 1))
-    temp = cfg.annealing_t0
-    scale = 0.1
-    for _ in range(n):
-        cand = theta + rng.standard_normal(theta.size) * scale
-        val = obj(cand)
-        if val < cur or rng.random() < math.exp(min(0.0, (cur - val) / temp)):
-            theta, cur = cand, val
-            if cur < best_val:
-                best, best_val = theta.copy(), cur
-        temp *= ratio
-    return best
+    cons = [{"type": "eq", "fun": h} for h in sub.equalities]
+    cons += [{"type": "ineq", "fun": lambda th, g=g: -g(th)} for g in sub.inequalities]
+    res = minimize(objective, theta0, method="SLSQP", bounds=bounds,
+                   constraints=cons, options=SLSQP_OPTIONS)
+    return res.x
 
 
 def maximize_surprise(
@@ -263,74 +237,36 @@ def maximize_surprise(
 ) -> Optimum:
     """sup of the surprise function over H, with the tangential point.
 
-    Tries the closed-form path first, then multistart penalized ascent
-    seeded from the best posterior draws, then annealing if restarts
-    disagree.  Raises InfeasibleHypothesisError when no feasible point
-    can be produced.
+    Tries the exact rules first, then SLSQP from each start on each
+    subproblem.  Raises InfeasibleHypothesisError when the affine equalities
+    are inconsistent or no start reaches a feasible point.
     """
     cfg = cfg or OptimizerConfig()
-    closed = _try_closed_form(model, H)
-    if closed is not None:
-        return closed
+    affine = _affine_system(H)
+    exact = _exact_optimum(model, H, affine)
+    if exact is not None:
+        return _finish(model, H, exact, "closed-form")
 
-    # candidate starting points: best draws by log-surprise, projected
-    starts = []
-    if sample is not None and sample.size > 0:
-        order = np.argsort(sample.log_surprise)[::-1]
-        take = order[: cfg.restarts * 4]
-        if H.negated_of is not None or H.equalities or H.inequalities:
-            member = H.contains(sample.draws[take])
-            preferred = sample.draws[take][member]
-            others = sample.draws[take][~member]
-            pool = np.concatenate([preferred, others]) if preferred.size else others
-        else:
-            pool = sample.draws[take]
-        for theta in pool[: cfg.restarts]:
-            starts.append(_project_equalities(H, theta.copy()))
-    if model.mode is not None:
-        starts.append(_project_equalities(H, np.asarray(model.mode, dtype=float)))
-    if not starts:
-        starts.append(_project_equalities(H, model.space.center()))
-
+    space = model.space
+    finite = np.isfinite(space.lower) | np.isfinite(space.upper)
+    bounds = Bounds(space.lower, space.upper) if finite.any() else None
+    starts = _starts(model, H, sample, cfg)
     results = []
-    for theta0 in starts:
-        theta = np.asarray(theta0, dtype=float)
-        weight = cfg.penalty_start
-        for _ in range(cfg.outer_iterations):
-            res = minimize(
-                _penalized(model, H, weight),
-                theta,
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
-            )
-            theta = res.x
-            weight *= cfg.penalty_growth
-        theta = _refine_feasibility(H, theta)
-        eq_res, ineq_res = H.residuals(theta)
-        feasible = eq_res <= EPS_OPT and ineq_res <= EPS_OPT
-        if H.negated_of is not None:
-            feasible = bool(H.contains(theta))
-        if feasible:
-            results.append((_surprise_at(model, theta), theta))
-
-    method = "multistart"
+    for sub in _subproblems(H, affine):
+        for theta0 in starts:
+            theta = _slsqp(model, sub, theta0, bounds)
+            if max(sub.residuals(theta)) <= EPS_OPT:
+                results.append((_surprise_at(model, theta), theta, sub))
     if not results:
         raise InfeasibleHypothesisError("no feasible point found for the hypothesis")
-    values = sorted(v for v, _ in results)
-    if len(values) > 1 and values[-1] - values[0] > cfg.multimodality_gap:
-        # restarts disagree: run the annealing fallback from the best point
-        best_theta = max(results, key=lambda r: r[0])[1]
-        ann = _refine_feasibility(H, _annealing(model, H, best_theta, cfg))
-        eq_res, ineq_res = H.residuals(ann)
-        if eq_res <= EPS_OPT and ineq_res <= EPS_OPT:
-            results.append((_surprise_at(model, ann), ann))
-            method = "annealing"
-    best_val, best_theta = max(results, key=lambda r: r[0])
+    best_val, best_theta, best_sub = max(results, key=lambda r: r[0])
     if np.linalg.norm(best_theta) > 1e8:
         raise UnboundedSurpriseError("surprise keeps improving along a feasible ray")
     if not np.isfinite(best_val):
         if best_val == math.inf:
             raise UnboundedSurpriseError("surprise diverges on the hypothesis set")
         raise InfeasibleHypothesisError("no feasible point with finite surprise")
-    opt = _finish(model, H, best_theta, method, restarts=len(starts))
-    return opt
+    # a complement's supremum is reached on its closure: report the residuals
+    # of the closed piece that reached it
+    checked = H if H.negated_of is None else best_sub
+    return _finish(model, checked, best_theta, "multistart", restarts=len(starts))

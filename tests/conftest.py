@@ -52,3 +52,14 @@ def reg2_model(table2):
 def reg2_sample(reg2_model):
     cfg = SamplerConfig(seed=11, chains=2, draws=20_000, burnin=5_000)
     return sample_posterior(reg2_model, cfg)
+
+
+@pytest.fixture(scope="session")
+def reg_fits(table2):
+    """Order k -> (model, small posterior sample), for orders 1-4."""
+    fits = {}
+    for k in range(1, 5):
+        model = make_polynomial_regression_model(table2, k)
+        cfg = SamplerConfig(seed=100 + k, chains=2, draws=2_000, burnin=1_000)
+        fits[k] = (model, sample_posterior(model, cfg))
+    return fits
