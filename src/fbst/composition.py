@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .truth import TruthLadder, _ladder_from_atoms, condense, eval_truth
+from .truth import TruthLadder, _ladder_from_sorted, condense, eval_truth
 
 DEFAULT_PAIR_BUDGET = 2 ** 20
 
@@ -32,16 +32,14 @@ def mellin_convolve(
     """CDF ladder of the product of two independent ladder variables.
 
     Pairwise products of atoms (log-supports added, masses multiplied),
-    then condensation to n_max points.
+    sorted once and condensed to n_max points.
     """
     cap = max(2, int(math.isqrt(pair_budget)))
-    w1c = condense(w1, cap) if w1.size > cap else w1
-    w2c = condense(w2, cap) if w2.size > cap else w2
-    m1, m2 = w1c.atom_masses(), w2c.atom_masses()
+    w1c, w2c = condense(w1, cap), condense(w2, cap)
     sums = (w1c.log_v[:, None] + w2c.log_v[None, :]).ravel()
-    masses = (m1[:, None] * m2[None, :]).ravel()
-    ladder = _ladder_from_atoms(sums, masses, "convolved")
-    return condense(ladder, n_max)
+    masses = (w1c.atom_masses()[:, None] * w2c.atom_masses()[None, :]).ravel()
+    order = np.argsort(sums)
+    return _ladder_from_sorted(sums[order], masses[order], n_max, "convolved")
 
 
 def convolve_all(
@@ -54,12 +52,8 @@ def convolve_all(
     if not items:
         raise ValueError("need at least one ladder")
     while len(items) > 1:
-        nxt = []
-        for i in range(0, len(items) - 1, 2):
-            nxt.append(mellin_convolve(items[i], items[i + 1], n_max, pair_budget))
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
+        pairs = [mellin_convolve(a, b, n_max, pair_budget) for a, b in zip(items[::2], items[1::2])]
+        items = pairs + items[2 * len(pairs):]
     return items[0]
 
 

@@ -93,19 +93,17 @@ def linear_coefficients(fn: Callable, dim: int, rng_seed: int = 0):
     """Detect whether a compiled expression is affine in theta.
 
     Returns (coeffs, offset) if f(theta) = coeffs . theta + offset to
-    within 1e-9 on random probes, else None.
+    within 1e-9 on random probes, else None.  A probe that is not finite
+    (log(0) at the origin, say) marks the expression nonlinear.
     """
-    rng = np.random.default_rng(rng_seed)
-    base = float(fn(np.zeros(dim)))
-    coeffs = np.empty(dim)
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        coeffs[i] = float(fn(e)) - base
-    for _ in range(4):
-        probe = rng.normal(size=dim) * 3.0
-        want = coeffs @ probe + base
-        got = float(fn(probe))
-        if not np.isfinite(got) or abs(got - want) > 1e-9 * max(1.0, abs(want)):
-            return None
+    probes = np.random.default_rng(rng_seed).normal(size=(4, dim)) * 3.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        base = float(fn(np.zeros(dim)))
+        coeffs = np.array([float(fn(e)) for e in np.eye(dim)]) - base
+        got = np.asarray(fn(probes), dtype=float)
+    if not (np.isfinite(base) and np.all(np.isfinite(coeffs))):
+        return None
+    want = probes @ coeffs + base
+    if not np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))):
+        return None
     return coeffs, base

@@ -200,12 +200,15 @@ class Hypothesis:
         return ok[()] if np.ndim(ok) == 0 else ok
 
     def residuals(self, theta):
-        """(max |h_j|, max positive g_i) at theta; zeros when unconstrained."""
+        """(max |h_j|, max positive g_i) at theta; zeros when unconstrained, and
+        a complement's against its closure (Theta, or the union of g_i >= 0)."""
+        theta = np.asarray(theta, dtype=float)
         if self.negated_of is not None:
             inner = self.negated_of
-            viol = 0.0 if not inner.contains(theta) else np.inf
-            return 0.0, viol
-        theta = np.asarray(theta, dtype=float)
+            if inner.equalities:
+                return 0.0, 0.0
+            gap = min((-float(g(theta)) for g in inner.inequalities), default=np.inf)
+            return 0.0, max(0.0, gap)
         eq = max((abs(float(h(theta))) for h in self.equalities), default=0.0)
         ineq = max((max(0.0, float(g(theta))) for g in self.inequalities), default=0.0)
         return eq, ineq

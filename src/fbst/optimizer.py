@@ -256,17 +256,14 @@ def maximize_surprise(
         for theta0 in starts:
             theta = _slsqp(model, sub, theta0, bounds)
             if max(sub.residuals(theta)) <= EPS_OPT:
-                results.append((_surprise_at(model, theta), theta, sub))
+                results.append((_surprise_at(model, theta), theta))
     if not results:
         raise InfeasibleHypothesisError("no feasible point found for the hypothesis")
-    best_val, best_theta, best_sub = max(results, key=lambda r: r[0])
+    best_val, best_theta = max(results, key=lambda r: r[0])
     if np.linalg.norm(best_theta) > 1e8:
         raise UnboundedSurpriseError("surprise keeps improving along a feasible ray")
     if not np.isfinite(best_val):
         if best_val == math.inf:
             raise UnboundedSurpriseError("surprise diverges on the hypothesis set")
         raise InfeasibleHypothesisError("no feasible point with finite surprise")
-    # a complement's supremum is reached on its closure: report the residuals
-    # of the closed piece that reached it
-    checked = H if H.negated_of is None else best_sub
-    return _finish(model, checked, best_theta, "multistart", restarts=len(starts))
+    return _finish(model, H, best_theta, "multistart", restarts=len(starts))

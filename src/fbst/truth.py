@@ -3,6 +3,8 @@
 A TruthLadder is a right-continuous step CDF of the log-surprise value under
 the posterior: W(v) = max{w_i : v_i <= v}, 0 below the first support point.
 Support values are stored in log space throughout.
+Empirical and convolved ladders take one sort and one cumulative sum, and
+are condensed to n_max points before a TruthLadder is built.
 """
 
 from __future__ import annotations
@@ -63,18 +65,29 @@ def eval_truth(ladder: TruthLadder, log_v) -> np.ndarray:
     return out[()] if np.ndim(out) == 0 else out
 
 
-def _ladder_from_atoms(log_v: np.ndarray, masses: np.ndarray, provenance: str) -> TruthLadder:
-    """Aggregate (possibly duplicated, unsorted) atoms into a valid ladder."""
-    order = np.argsort(log_v, kind="stable")
-    log_v = log_v[order]
-    masses = masses[order]
-    uniq, inverse = np.unique(log_v, return_inverse=True)
-    agg = np.zeros(uniq.size)
-    np.add.at(agg, inverse, masses)
-    w = np.cumsum(agg)
+def _condensed_index(w: np.ndarray, n_max: int):
+    """Indices of the first crossing of each level j/n_max by the masses w;
+    every index when w already has at most n_max points."""
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    if w.size <= n_max:
+        return slice(None)
+    idx = np.searchsorted(w, np.arange(1, n_max + 1) / n_max - 1e-15, side="left")
+    return np.unique(np.minimum(idx, w.size - 1))
+
+
+def _ladder_from_sorted(log_v: np.ndarray, masses: np.ndarray, n_max: int, provenance: str) -> TruthLadder:
+    """Ladder of at most n_max points from sorted support values (ties
+    allowed) and their masses, condensed without building the full ladder."""
+    new_run = log_v[1:] != log_v[:-1]
+    if not new_run.all():
+        # a run of equal values is summed first, then joins the running mass
+        starts = np.flatnonzero(np.append(True, new_run))
+        log_v, masses = log_v[starts], np.add.reduceat(masses, starts)
+    w = np.cumsum(masses)
     w /= w[-1]
-    w[-1] = 1.0
-    return TruthLadder(uniq, w, provenance)
+    idx = _condensed_index(w, n_max)
+    return TruthLadder(log_v[idx], w[idx], provenance)
 
 
 def condense(ladder: TruthLadder, n_max: int) -> TruthLadder:
@@ -84,13 +97,9 @@ def condense(ladder: TruthLadder, n_max: int) -> TruthLadder:
     with masses snapped to the input CDF there; sup-norm error <= 1/n_max;
     idempotent when the input already fits.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    idx = _condensed_index(ladder.w, n_max)
     if ladder.size <= n_max:
         return ladder
-    levels = np.arange(1, n_max + 1) / n_max
-    idx = np.searchsorted(ladder.w, levels - 1e-15, side="left")
-    idx = np.unique(np.minimum(idx, ladder.size - 1))
     return TruthLadder(ladder.log_v[idx], ladder.w[idx], ladder.provenance)
 
 
@@ -101,11 +110,7 @@ def estimate_truth_ladder(sample: SurpriseSample, n_max: int = 512) -> TruthLadd
     if sample.size < n_max:
         raise ValueError("sample smaller than the condensation bound")
     values = np.sort(sample.log_surprise)
-    uniq, counts = np.unique(values, return_counts=True)
-    w = np.cumsum(counts) / values.size
-    w[-1] = 1.0
-    full = TruthLadder(uniq, w, "empirical")
-    return condense(full, n_max)
+    return _ladder_from_sorted(values, np.ones(values.size), n_max, "empirical")
 
 
 def sup_distance(a: TruthLadder, b: TruthLadder) -> float:

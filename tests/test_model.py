@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ class TestHypothesis:
         inside_h = H.contains(probes)
         inside_c = C.contains(probes)
         assert np.all(inside_h ^ inside_c)
+
+    def test_complement_residuals_measure_its_closure(self):
+        # complement of {a^2 + b^2 <= 1, b <= 0.6}: the closure is the union
+        # of {a^2 + b^2 >= 1} and {b >= 0.6}
+        inner = hypothesis_from_spec({"inequalities": ["a^2 + b^2 - 1", "b - 0.6"]}, ("a", "b"))
+        C = complement(inner)
+        # on the boundary of b <= 0.6: outside the open complement, inside its closure
+        assert not hypothesis_contains(C, [0.2, 0.6])
+        assert C.residuals([0.2, 0.6]) == (0.0, 0.0)
+        # inside the inner set: 0.5 below b = 0.6, 0.95 inside the circle
+        assert C.residuals([0.2, 0.1]) == (0.0, pytest.approx(0.5, abs=1e-15))
+        assert C.residuals([0.0, 2.0]) == (0.0, 0.0)
+
+    def test_complement_residuals_of_sharp_and_empty_sets(self):
+        sharp = complement(point_hypothesis([0.0, 5.0]))
+        assert sharp.residuals([0.0, 5.0]) == (0.0, 0.0)
+        assert sharp.residuals([3.0, -1.0]) == (0.0, 0.0)
+        assert complement(Hypothesis()).residuals([0.0]) == (0.0, math.inf)
 
     def test_constraint_order_irrelevant(self):
         g1 = lambda th: np.asarray(th)[..., 0] - 1.0
@@ -253,3 +272,13 @@ class TestModelSpec:
     def test_nonlinear_equalities_not_marked_linear(self):
         hyp = hypothesis_from_spec({"equalities": ["a*a - 1"]}, ("a",))
         assert hyp.linear_equalities is None
+
+    def test_affine_detection_without_numpy_warnings(self):
+        # log(a) is -inf at the origin, where the affine probe starts
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hyp = hypothesis_from_spec({"equalities": ["log(a) - 1"]}, ("a", "b"))
+            affine = hypothesis_from_spec({"equalities": ["a - 2*b + 1"]}, ("a", "b"))
+        assert hyp.linear_equalities is None and len(hyp.equalities) == 1
+        (lin,) = affine.linear_equalities
+        assert np.array_equal(lin.coeffs, [1.0, -2.0]) and lin.offset == 1.0

@@ -256,6 +256,10 @@ class TestGeneralPathCases:
         assert opt.log_s_star - vals.max() < 1e-2
         assert opt.method == "multistart"
         assert opt.ineq_residual <= 1e-8
+        # the residuals are the complement's own, measured on its closure
+        assert (opt.eq_residual, opt.ineq_residual) == H.residuals(opt.theta_star)
+        assert opt.theta_star == pytest.approx([0.2, 0.6], abs=1e-6)
+        assert opt.eq_residual == 0.0
 
     def test_complement_of_sharp_set_through_mode(self, gauss_model):
         # the closure of the complement is the whole line: s* is the mode's

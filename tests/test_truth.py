@@ -1,11 +1,68 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from fbst import TruthLadder, condense, estimate_truth_ladder, eval_truth
+from fbst import (
+    SamplerConfig,
+    SurpriseSample,
+    TruthLadder,
+    condense,
+    estimate_truth_ladder,
+    eval_truth,
+)
 from fbst.truth import sup_distance
+
+
+# The previous ladder builders, kept as references: a stable argsort,
+# np.unique and np.add.at build a full-size ladder, which is then condensed.
+def _reference_condense(ladder, n_max):
+    if ladder.size <= n_max:
+        return ladder
+    levels = np.arange(1, n_max + 1) / n_max
+    idx = np.searchsorted(ladder.w, levels - 1e-15, side="left")
+    idx = np.unique(np.minimum(idx, ladder.size - 1))
+    return TruthLadder(ladder.log_v[idx], ladder.w[idx], ladder.provenance)
+
+
+def _reference_ladder_from_atoms(log_v, masses, provenance):
+    order = np.argsort(log_v, kind="stable")
+    log_v = log_v[order]
+    masses = masses[order]
+    uniq, inverse = np.unique(log_v, return_inverse=True)
+    agg = np.zeros(uniq.size)
+    np.add.at(agg, inverse, masses)
+    w = np.cumsum(agg)
+    w /= w[-1]
+    w[-1] = 1.0
+    return TruthLadder(uniq, w, provenance)
+
+
+def _reference_estimate(sample, n_max=512):
+    values = np.sort(sample.log_surprise)
+    uniq, counts = np.unique(values, return_counts=True)
+    w = np.cumsum(counts) / values.size
+    w[-1] = 1.0
+    return _reference_condense(TruthLadder(uniq, w, "empirical"), n_max)
+
+
+def iid_chi2_sample(d, draws=20_000, seed=0):
+    """Exact draws of a d-dimensional unit gaussian, log-surprise -|z|^2/2."""
+    z = np.random.default_rng(seed).standard_normal((draws, d))
+    return SurpriseSample(
+        draws=z,
+        log_surprise=-0.5 * np.sum(z * z, axis=1),
+        acceptance_rates=np.ones(1),
+        config=SamplerConfig(chains=1, draws=draws, burnin=0),
+    )
+
+
+def assert_same_ladder(a, b):
+    assert a.provenance == b.provenance
+    assert np.array_equal(a.log_v, b.log_v)
+    assert np.array_equal(a.w, b.w)
 
 
 def four_atom_ladder():
@@ -83,6 +140,11 @@ class TestCondense:
         assert np.array_equal(once.log_v, twice.log_v)
         assert np.array_equal(once.w, twice.w)
 
+    @pytest.mark.parametrize("n_max", [2, 64, 512])
+    def test_matches_reference(self, n_max):
+        ladder = estimate_truth_ladder(iid_chi2_sample(3), n_max=4_000)
+        assert_same_ladder(condense(ladder, n_max), _reference_condense(ladder, n_max))
+
     def test_keeps_total_mass(self):
         rng = np.random.default_rng(2)
         vals = np.sort(rng.standard_normal(4_000))
@@ -119,6 +181,28 @@ class TestEstimateTruthLadder:
     def test_requires_enough_draws(self, gauss_sample):
         with pytest.raises(ValueError):
             estimate_truth_ladder(gauss_sample, n_max=gauss_sample.size + 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_bit_identical_to_reference(self, d):
+        sample = iid_chi2_sample(d, seed=d)
+        assert_same_ladder(estimate_truth_ladder(sample), _reference_estimate(sample))
+
+    @pytest.mark.parametrize("n_max", [2, 64, 512, 4_000])
+    def test_bit_identical_to_reference_with_ties(self, n_max):
+        # rounding to 3 decimals leaves about 2 000 distinct values in 4 000
+        sample = iid_chi2_sample(2, draws=4_000, seed=9)
+        tied = dataclasses.replace(sample, log_surprise=np.round(sample.log_surprise, 3))
+        assert np.unique(tied.log_surprise).size < tied.size
+        got = estimate_truth_ladder(tied, n_max)
+        assert_same_ladder(got, _reference_estimate(tied, n_max))
+        assert got.size <= n_max
+
+    def test_bit_identical_on_mcmc_sample(self, gauss_sample):
+        assert_same_ladder(estimate_truth_ladder(gauss_sample), _reference_estimate(gauss_sample))
+
+    def test_rejects_small_n_max(self, gauss_sample):
+        with pytest.raises(ValueError):
+            estimate_truth_ladder(gauss_sample, n_max=1)
 
     def test_truth_is_monotone_in_cutoff(self, gauss_sample):
         ladder = estimate_truth_ladder(gauss_sample, n_max=512)
