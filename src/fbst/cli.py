@@ -28,14 +28,14 @@ from .model import (
     model_from_spec,
 )
 from .modelsel import benchmark_dataset, fitted_curves, select_order, selection_table
-from .optimizer import UnboundedSurpriseError
+from .optimizer import UnboundedSurpriseError, maximize_surprise
 from .sampler import (
     InitializationError,
     SamplerConfig,
     SamplerStuckError,
     sample_posterior,
 )
-from .truth import estimate_truth_ladder
+from .truth import estimate_truth_ladder, eval_truth
 
 EXIT_OK = 0
 EXIT_LOGIC = 1
@@ -44,12 +44,13 @@ EXIT_INFEASIBLE = 3
 EXIT_SAMPLER = 4
 
 
-def _manifest(command: str, args_dict: dict, seed, started: float) -> dict:
-    canonical = json.dumps(args_dict, sort_keys=True, default=str)
+def _manifest(command: str, args, started: float) -> dict:
+    options = {k: v for k, v in vars(args).items() if k != "fn"}  # fn's str holds an address
+    canonical = json.dumps(options, sort_keys=True, default=str)
     return {
         "command": command,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:16],
-        "seed": seed,
+        "seed": args.seed,
         "version": __version__,
         "elapsed_s": round(time.monotonic() - started, 3),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -104,12 +105,11 @@ def cmd_ev(args) -> int:
     report = evalue(model, hyp, sample, args.nmax, ladder=ladder)
     payload = report.to_dict()
     if args.threshold is not None:
-        comp_report = evalue(model, complement(hyp), sample, args.nmax, ladder=ladder,
-                             ess=report.ess)
-        decision = gfbst_decide(report.ev, comp_report.ev, args.threshold)
-        payload["ev_complement"] = comp_report.ev
+        comp = maximize_surprise(model, complement(hyp), sample)
+        payload["ev_complement"] = float(eval_truth(ladder, comp.log_s_star))
+        decision = gfbst_decide(report.ev, payload["ev_complement"], args.threshold)
         payload["decision"] = {0.0: "reject", 0.5: "agnostic", 1.0: "accept"}[decision.value]
-    payload["manifest"] = _manifest("ev", vars(args), args.seed, started)
+    payload["manifest"] = _manifest("ev", args, started)
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -135,7 +135,7 @@ def cmd_select(args) -> int:
         sampler_cfg=cfg,
         n_max=args.nmax,
     )
-    report["manifest"] = _manifest("select", vars(args), args.seed, started)
+    report["manifest"] = _manifest("select", args, started)
     if args.csv:
         rows = report["rows"]
         header = list(rows[0].keys())
@@ -162,7 +162,7 @@ def cmd_verify_logic(args) -> int:
     report = check_logical_properties(
         grid, args.trials, c=args.threshold, seed=args.seed, rule=args.rule
     )
-    report["manifest"] = _manifest("verify-logic", vars(args), args.seed, started)
+    report["manifest"] = _manifest("verify-logic", args, started)
     _emit(report, args.out)
     return EXIT_OK if report["total_violations"] == 0 else EXIT_LOGIC
 
@@ -181,7 +181,7 @@ def cmd_compose(args) -> int:
         "log_s_star": [
             [None if np.isnan(v) else v for v in row] for row in structure.log_s_star
         ],
-        "manifest": _manifest("compose", vars(args), args.seed, started),
+        "manifest": _manifest("compose", args, started),
     }
     _emit(payload, args.out)
     return EXIT_OK

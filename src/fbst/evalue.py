@@ -105,12 +105,11 @@ def evalue(
     opt_cfg: Optional[OptimizerConfig] = None,
     ladder: Optional[TruthLadder] = None,
     optimum: Optional[Optimum] = None,
-    ess: Optional[float] = None,
 ) -> EvidenceReport:
     """ev(H|X) = W(s*) from a posterior sample, with diagnostics.
 
-    `ladder`, `optimum` and `ess` may be passed in when they were already
-    computed on the same sample; each one left out is computed here.
+    `ladder` and `optimum` may be passed in when they were already computed
+    on the same sample; each one left out is computed here.
     """
     if ladder is None:
         ladder = estimate_truth_ladder(sample, n_max)
@@ -118,11 +117,10 @@ def evalue(
         optimum = maximize_surprise(model, H, sample, opt_cfg)
     ev = float(eval_truth(ladder, optimum.log_s_star))
     t = model.space.dimension
-    if ess is None:
-        try:
-            ess = effective_sample_size(sample)
-        except (DegenerateSeriesError, ValueError):
-            ess = None
+    try:
+        ess = effective_sample_size(sample)
+    except (DegenerateSeriesError, ValueError):
+        ess = None
     report = EvidenceReport(
         ev=ev,
         ev_bar=1.0 - ev,

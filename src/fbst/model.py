@@ -185,33 +185,45 @@ class Hypothesis:
             raise ValueError("more equality constraints than dimensions")
         return h
 
+    def residuals(self, theta):
+        """(max |h_j|, max(0, g_i)) at theta, of shape theta.shape[:-1] (floats
+        for one point); a NaN constraint value reads as +inf.  A complement's
+        residuals are the least over the pieces of its closure."""
+        theta = np.asarray(theta, dtype=float)
+        eq = ineq = np.zeros(theta.shape[:-1])
+        if self.negated_of is not None:  # each piece is Theta or one inequality
+            ineq = np.full(eq.shape, np.inf)
+            for piece in self.closure():
+                ineq = np.minimum(ineq, piece.residuals(theta)[1])
+        else:
+            with np.errstate(all="ignore"):
+                for h in self.equalities:
+                    eq = np.maximum(eq, np.abs(np.asarray(h(theta), dtype=float)))
+                for g in self.inequalities:
+                    ineq = np.maximum(ineq, np.asarray(g(theta), dtype=float))
+            eq, ineq = np.fmin(eq, np.inf), np.fmin(ineq, np.inf)  # fmin(NaN, inf) is inf
+        return (float(eq), float(ineq)) if theta.ndim == 1 else (eq, ineq)
+
     def contains(self, theta, eq_tol: float = DEFAULT_EQ_TOL):
         """Membership test; eq_tol is the equality feasibility tolerance."""
         if eq_tol <= 0:
             raise ValueError("eq_tol must be positive")
         if self.negated_of is not None:
             return np.logical_not(self.negated_of.contains(theta, eq_tol))
-        theta = np.asarray(theta, dtype=float)
-        ok = np.ones(theta.shape[:-1], dtype=bool)
-        for g in self.inequalities:
-            ok &= np.asarray(g(theta), dtype=float) <= 0.0
-        for h in self.equalities:
-            ok &= np.abs(np.asarray(h(theta), dtype=float)) <= eq_tol
-        return ok[()] if np.ndim(ok) == 0 else ok
+        eq, ineq = self.residuals(theta)
+        return np.logical_and(eq <= eq_tol, ineq <= 0.0)
 
-    def residuals(self, theta):
-        """(max |h_j|, max positive g_i) at theta; zeros when unconstrained, and
-        a complement's against its closure (Theta, or the union of g_i >= 0)."""
-        theta = np.asarray(theta, dtype=float)
-        if self.negated_of is not None:
-            inner = self.negated_of
-            if inner.equalities:
-                return 0.0, 0.0
-            gap = min((-float(g(theta)) for g in inner.inequalities), default=np.inf)
-            return 0.0, max(0.0, gap)
-        eq = max((abs(float(h(theta))) for h in self.equalities), default=0.0)
-        ineq = max((max(0.0, float(g(theta))) for g in self.inequalities), default=0.0)
-        return eq, ineq
+    def closure(self) -> tuple:
+        """Plain hypotheses whose union is the closure: the set itself; for a
+        complement, Theta if the negated set has an equality, else {g_i >= 0},
+        where a NaN g_i counts as inside, as it does for `contains`."""
+        inner = self.negated_of
+        if inner is None:
+            return (self,)
+        if inner.equalities:
+            return (Hypothesis(),)
+        return tuple(Hypothesis(inequalities=(lambda th, g=g: -np.fmin(g(th), np.inf),))
+                     for g in inner.inequalities)
 
 
 def complement(H: Hypothesis) -> Hypothesis:
@@ -225,29 +237,25 @@ def hypothesis_contains(H: Hypothesis, theta, eq_tol: float = DEFAULT_EQ_TOL):
     return H.contains(theta, eq_tol)
 
 
+def affine_hypothesis(A, b, label: str = "") -> Hypothesis:
+    """Sharp hypothesis A theta = b, one equality per row of A."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.broadcast_to(np.asarray(b, dtype=float), (len(A),))
+    # only the nonzero coefficients: a unit row reads one coordinate
+    eqs = tuple(lambda th, a=a, c=c, nz=np.flatnonzero(a): np.asarray(th)[..., nz] @ a[nz] - c
+                for a, c in zip(A, b))
+    lins = tuple(LinearEquality(a, -c) for a, c in zip(A, b))
+    return Hypothesis(equalities=eqs, linear_equalities=lins, label=label)
+
+
 def point_hypothesis(point: Sequence[float], label: str = "") -> Hypothesis:
     """Sharp hypothesis pinning every coordinate: theta = point."""
-    point = np.asarray(point, dtype=float)
-    eqs = []
-    lins = []
-    for i, p in enumerate(point):
-        eqs.append(lambda th, i=i, p=p: np.asarray(th)[..., i] - p)
-        coef = np.zeros(point.size)
-        coef[i] = 1.0
-        lins.append(LinearEquality(coef, -p))
-    return Hypothesis(equalities=tuple(eqs), linear_equalities=tuple(lins), label=label)
+    return affine_hypothesis(np.eye(len(point)), point, label)
 
 
 def coordinate_zero_hypothesis(index: int, dim: int, label: str = "") -> Hypothesis:
     """Sharp hypothesis theta_index = 0 in a dim-dimensional space."""
-    coef = np.zeros(dim)
-    coef[index] = 1.0
-    eq = lambda th, i=index: np.asarray(th)[..., i]
-    return Hypothesis(
-        equalities=(eq,),
-        linear_equalities=(LinearEquality(coef, 0.0),),
-        label=label or f"theta_{index}=0",
-    )
+    return affine_hypothesis(np.eye(dim)[index], 0.0, label or f"theta_{index}=0")
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,9 @@ s* = sup over H of the surprise, found by the first rule that applies:
   A beta = b on a polynomial regression's beta block (beta_hat projected in
   the X'X metric, sigma from the profile of the posterior exponent);
 - everything else: scipy's SLSQP from the best posterior draws and the
-  model's mode, given the equalities, the inequalities and the space's
-  bounds.  The complement of a set with an equality has Theta as its
-  closure, so it is solved unconstrained; the complement of an
-  inequality-only set {g_i <= 0 for all i} takes the largest over i of the
-  suprema over {g_i >= 0}.
+  model's mode, within the space's bounds, on each piece of `H.closure()`
+  (for a complement, Theta or one {g_i >= 0} per inequality); the best end
+  point whose `Hypothesis.residuals` (NaN read as +inf) are within EPS_OPT wins.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from .model import (
     Hypothesis,
     InfeasibleHypothesisError,
     StatisticalModel,
+    affine_hypothesis,
     log_surprise,
 )
 from .sampler import SurpriseSample
@@ -131,11 +130,8 @@ def closed_form_constrained_mode(model: StatisticalModel, A, b=0.0) -> Optimum:
     if model.family != "polynomial-regression":
         raise ValueError("closed form requires the polynomial-regression family")
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.broadcast_to(np.asarray(b, dtype=float), (len(A),))
-    theta = _regression_mode_on(model, A, b)
-    k = model.extra["k"]
-    eqs = tuple(lambda th, a=a, c=c: np.asarray(th)[..., : k + 1] @ a - c for a, c in zip(A, b))
-    return _finish(model, Hypothesis(equalities=eqs, label="A.beta=b"), theta, "closed-form")
+    H = affine_hypothesis(np.column_stack([A, np.zeros(len(A))]), b, "A.beta=b")
+    return _finish(model, H, _regression_mode_on(model, A, b), "closed-form")
 
 
 def _affine_system(H: Hypothesis):
@@ -192,9 +188,7 @@ def _starts(model, H, sample, cfg) -> list:
         # a rejected Metropolis proposal repeats its draw; SLSQP is deterministic
         _, first = np.unique(pool, axis=0, return_index=True)
         pool = pool[np.sort(first)]
-        if H.negated_of is not None or H.equalities or H.inequalities:
-            member = H.contains(pool)
-            pool = np.concatenate([pool[member], pool[~member]])
+        pool = pool[np.argsort(~H.contains(pool), kind="stable")]
         starts.extend(pool[: cfg.restarts])
     if model.mode is not None:
         starts.append(np.asarray(model.mode, dtype=float))
@@ -203,29 +197,26 @@ def _starts(model, H, sample, cfg) -> list:
     return starts
 
 
-def _subproblems(H: Hypothesis, affine) -> list:
-    """Hypotheses whose closures' suprema have H's supremum as their maximum."""
-    inner = H.negated_of
-    if inner is None:
-        if affine is None:
-            return [H]
-        eqs = tuple(H.equalities[i] for i in affine[2])
-        return [Hypothesis(inequalities=H.inequalities, equalities=eqs)]
-    if inner.equalities:
-        return [Hypothesis()]
-    return [Hypothesis(inequalities=(lambda th, g=g: -g(th),)) for g in inner.inequalities]
+def _subproblems(H: Hypothesis, affine) -> tuple:
+    """Plain hypotheses whose suprema have H's supremum as their maximum:
+    H's closure, with only the independent affine rows kept."""
+    if affine is None:
+        return H.closure()
+    return (Hypothesis(H.inequalities, tuple(H.equalities[i] for i in affine[2])),)
 
 
 def _slsqp(model, sub: Hypothesis, theta0, bounds) -> np.ndarray:
     def objective(theta):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            val = _surprise_at(model, theta)
+        val = _surprise_at(model, theta)
         return -val if np.isfinite(val) else WALL
 
     cons = [{"type": "eq", "fun": h} for h in sub.equalities]
-    cons += [{"type": "ineq", "fun": lambda th, g=g: -g(th)} for g in sub.inequalities]
-    res = minimize(objective, theta0, method="SLSQP", bounds=bounds,
-                   constraints=cons, options=SLSQP_OPTIONS)
+    # an infinite inequality (a closure piece where g_i is NaN) reads as WALL
+    cons += [{"type": "ineq", "fun": lambda th, g=g: -np.clip(g(th), -WALL, WALL)}
+             for g in sub.inequalities]
+    with np.errstate(all="ignore"):
+        res = minimize(objective, theta0, method="SLSQP", bounds=bounds,
+                       constraints=cons, options=SLSQP_OPTIONS)
     return res.x
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fbst
 from fbst.cli import main
 
 FAST = ["--draws", "20000", "--chains", "2", "--burnin", "2000"]
@@ -229,6 +234,18 @@ class TestVerifyLogic:
 
     def test_tiny_grid_rejected(self, capsys):
         assert main(["verify-logic", "--grid", "2", "--seed", "0"]) == 2
+
+    def test_config_hash_reproducible_across_interpreters(self):
+        # each fresh interpreter lays its functions out at other addresses
+        env = dict(os.environ, PYTHONPATH=str(Path(fbst.__file__).resolve().parents[1]))
+        argv = [sys.executable, "-c", "import sys; from fbst.cli import main; main(sys.argv[1:])",
+                "verify-logic", "--grid", "4", "--trials", "1", "--seed", "0"]
+        hashes = [
+            json.loads(subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+                       .stdout)["manifest"]["config_hash"]
+            for _ in range(2)
+        ]
+        assert hashes[0] == hashes[1]
 
 
 class TestCompose:

@@ -13,6 +13,7 @@ from fbst import (
     SingularDesignError,
     StatisticalModel,
     complement,
+    coordinate_zero_hypothesis,
     gaussian_mean_evalue_oracle,
     hypothesis_contains,
     hypothesis_from_spec,
@@ -23,6 +24,27 @@ from fbst import (
     point_hypothesis,
 )
 from fbst.expressions import ExpressionError, compile_expression
+
+
+def reference_residuals(H, theta):
+    """The earlier per-point residuals, exact on finite constraint values."""
+    if H.negated_of is not None:
+        inner = H.negated_of
+        if inner.equalities:
+            return 0.0, 0.0
+        gap = min((-float(g(theta)) for g in inner.inequalities), default=np.inf)
+        return 0.0, max(0.0, gap)
+    eq = max((abs(float(h(theta))) for h in H.equalities), default=0.0)
+    ineq = max((max(0.0, float(g(theta))) for g in H.inequalities), default=0.0)
+    return eq, ineq
+
+
+def reference_contains(H, theta, eq_tol=1e-9):
+    """The earlier per-point membership test."""
+    if H.negated_of is not None:
+        return not reference_contains(H.negated_of, theta, eq_tol)
+    return (all(float(g(theta)) <= 0.0 for g in H.inequalities)
+            and all(abs(float(h(theta))) <= eq_tol for h in H.equalities))
 
 
 def two_sided_normal_tail(z):
@@ -141,6 +163,70 @@ class TestHypothesis:
         assert sharp.residuals([0.0, 5.0]) == (0.0, 0.0)
         assert sharp.residuals([3.0, -1.0]) == (0.0, 0.0)
         assert complement(Hypothesis()).residuals([0.0]) == (0.0, math.inf)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_evaluator_matches_per_point_reference(self, seed):
+        names = ("a", "b")
+        plain = [
+            Hypothesis(),
+            hypothesis_from_spec({"inequalities": ["a^2 + b^2 - 1", "b - 0.5"]}, names),
+            hypothesis_from_spec({"equalities": ["a - b"], "inequalities": ["a - 0.25"]}, names),
+            hypothesis_from_spec({"equalities": ["a*b - 0.25", "a + b - 1"]}, names),
+            point_hypothesis([0.5, -0.25]),
+        ]
+        # the complements: of Theta, of sets with and without an equality
+        hyps = plain + [complement(H) for H in plain]
+        # a quarter-step grid hits the equalities and the boundaries exactly
+        grid = np.random.default_rng(seed).integers(-8, 9, size=(400, 2)) / 4.0
+        for H in hyps:
+            want = np.array([reference_residuals(H, th) for th in grid])
+            eq, ineq = H.residuals(grid)
+            assert eq.shape == ineq.shape == (len(grid),)
+            assert np.array_equal(np.column_stack([eq, ineq]), want)
+            assert all(H.residuals(th) == tuple(w) for th, w in zip(grid[:20], want))
+            member = [reference_contains(H, th) for th in grid]
+            assert np.array_equal(H.contains(grid), member)
+
+    def test_nan_residual_is_infeasible_in_any_order(self):
+        names = ("a", "b")
+        ab, ba = (hypothesis_from_spec({"equalities": eqs}, names)
+                  for eqs in (["a", "sqrt(b) - 1"], ["sqrt(b) - 1", "a"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ab.residuals([0.0, -1.0]) == ba.residuals([0.0, -1.0]) == (math.inf, 0.0)
+            assert not ab.contains([0.0, -1.0]) and not ba.contains([0.0, -1.0])
+            ineq = hypothesis_from_spec({"inequalities": ["sqrt(a) - 1"]}, names)
+            assert ineq.residuals(np.array([[-1.0, 0.0], [0.0, 0.0]]))[1].tolist() == [math.inf, 0.0]
+            # the same point lies in the complement, and in its closure
+            assert complement(ineq).contains([-1.0, 0.0])
+            assert complement(ineq).residuals([-1.0, 0.0]) == (0.0, 0.0)
+            assert complement(ineq).residuals([0.25, 0.0]) == (0.0, 0.5)
+
+    def test_single_point_membership_is_numpy_bool(self):
+        H = point_hypothesis([1.0, 2.0])
+        for hyp in (H, complement(H), Hypothesis()):
+            assert isinstance(hyp.contains([1.0, 2.0]), np.bool_)
+        assert not ~H.contains([1.0, 2.0])
+
+    def test_affine_row_reads_only_its_coordinates(self):
+        # an infinite coordinate leaves the rows that do not read it at 0
+        H = point_hypothesis([1.0, 2.0])
+        assert H.residuals([1.0, math.inf]) == (math.inf, 0.0)
+        assert coordinate_zero_hypothesis(0, 2).residuals([0.0, math.inf]) == (0.0, 0.0)
+
+    def test_closure_pieces(self):
+        names = ("a", "b")
+        ineqs = hypothesis_from_spec({"inequalities": ["a^2 + b^2 - 1", "b - 0.5"]}, names)
+        assert ineqs.closure() == (ineqs,)
+        pieces = complement(ineqs).closure()
+        # {a^2 + b^2 >= 1} and {b >= 0.5}
+        assert [len(p.inequalities) for p in pieces] == [1, 1]
+        assert [p.contains([0.0, 0.75]) for p in pieces] == [False, True]
+        assert [p.contains([1.0, 0.0]) for p in pieces] == [True, False]
+        mixed = hypothesis_from_spec({"equalities": ["a"], "inequalities": ["b"]}, names)
+        (whole,) = complement(mixed).closure()
+        assert not (whole.equalities or whole.inequalities or whole.negated_of)
+        assert complement(Hypothesis()).closure() == ()
 
     def test_constraint_order_irrelevant(self):
         g1 = lambda th: np.asarray(th)[..., 0] - 1.0

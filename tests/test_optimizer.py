@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,35 @@ class TestGeneralPathCases:
         assert (opt.eq_residual, opt.ineq_residual) == H.residuals(opt.theta_star)
         assert opt.theta_star == pytest.approx([0.2, 0.6], abs=1e-6)
         assert opt.eq_residual == 0.0
+
+    @pytest.fixture
+    def sqrt_case(self):
+        # sqrt(a) is NaN at every draw and at the mode a = -2; sup over H is
+        # log s = -2, at a = 0
+        model, _ = model_from_spec({"family": "generic", "coordinates": ["a", "b"],
+                                    "log_kernel": "-0.5*((a+2)^2 + b^2)"})
+        H = hypothesis_from_spec({"inequalities": ["sqrt(a) - 1"]}, ("a", "b"))
+        sample = sample_posterior(model, SamplerConfig(seed=0, chains=2, draws=2000, burnin=500))
+        return model, H, sample
+
+    def test_nan_constraint_never_yields_a_point_outside(self, sqrt_case):
+        # no start lies in H and SLSQP cannot leave the NaN region, so the
+        # search fails rather than return a draw outside H
+        model, H, sample = sqrt_case
+        with pytest.raises(InfeasibleHypothesisError):
+            maximize_surprise(model, H, sample)
+
+    def test_complement_counts_nan_constraint_as_inside(self, sqrt_case):
+        # the complement holds the global mode, where sqrt(a) is NaN
+        model, H, sample = sqrt_case
+        C = complement(H)
+        assert C.contains([-2.0, 0.0]) and C.residuals([-2.0, 0.0]) == (0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            opt = maximize_surprise(model, C, sample)
+        assert C.contains(opt.theta_star)
+        assert opt.log_s_star == pytest.approx(0.0, abs=1e-6)
+        assert (opt.eq_residual, opt.ineq_residual) == (0.0, 0.0)
 
     def test_complement_of_sharp_set_through_mode(self, gauss_model):
         # the closure of the complement is the whole line: s* is the mode's
