@@ -84,8 +84,12 @@ def unbounded_space(names: Sequence[str]) -> ParameterSpace:
 class StatisticalModel:
     """Parameter space + log-posterior kernel + log-reference density.
 
-    `log_kernel` and `log_reference` must accept arrays of shape (..., d)
-    and return shape (...,).  A None reference means flat (log r == 0).
+    `log_kernel` and `log_reference` must accept arrays of any leading
+    shape (..., d) and return shape (...,).  A None reference means flat
+    (log r == 0).  The sampler calls the kernel on speculative batches of
+    shape (chains * PREFETCH, d), many of whose rows no chain moves to, so
+    a kernel must be pure: no side effects, and no dependence on earlier
+    calls.
     """
 
     space: ParameterSpace

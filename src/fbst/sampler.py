@@ -12,8 +12,23 @@ segment's start by generating and discarding the segments before it
 (ziggurat normals consume a variable amount of the bit stream, so the
 generator cannot simply be advanced).  Randomness is generated
 `CHUNK` steps at a time, so its memory is O(CHUNK x chains x d) whatever
-the step count, and the draws equal, bit for bit, those of generating each
-segment in one call.
+the step count.
+
+Each chunk's moves, scaled by each chain's current proposal scale, and its
+log-uniforms are packed into one per-chain buffer.  The sampler then runs
+rounds: a round gathers every chain's next `PREFETCH` moves and makes one
+kernel call on the `(chains * PREFETCH, d)` proposals `current + move`.
+While a chain rejects, its current point does not change, so those
+proposals are the ones a step-by-step loop would make; each chain takes
+them, on its own, up to its first acceptance or the end of its window.  A
+window ends at the chunk's end and, during burn-in, at the chain's next
+50-step adaptation point or the end of burn-in, so the scale is fixed
+within it.  Retention is deferred to the chunk's end: each chain logs the
+steps it accepted and their log-kernels, and a cumulative sum of the
+accepted moves from its chunk-start state repeats the loop's additions.
+The draws therefore equal, bit for bit, those of generating each segment
+in one call and stepping one step at a time, provided the kernel gives a
+point the same value in any batch.
 """
 
 from __future__ import annotations
@@ -31,6 +46,8 @@ from .model import StatisticalModel, log_surprise
 # Steps of randomness generated at a time; bounds the sampler's random
 # buffers and changes no draw.
 CHUNK = 1024
+# Proposals per chain evaluated in one kernel call; changes no draw.
+PREFETCH = 8
 
 
 class SamplerStuckError(RuntimeError):
@@ -164,6 +181,14 @@ def _chain_streams(seq, steps: int, d: int, hit_and_run: bool) -> tuple:
     return normals, uniforms, directions
 
 
+def _window_end(t: int, burnin: int, block: int, limit: int) -> int:
+    """The step before which a chain at step t must stop: during burn-in its
+    next adaptation point or the end of burn-in, and never past `limit`."""
+    if t < burnin:
+        return min((t // block + 1) * block, burnin, limit)
+    return limit
+
+
 def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSample:
     """Run the configured MCMC sampler and return retained draws with logS."""
     d = model.space.dimension
@@ -181,64 +206,130 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
     hit_and_run = cfg.algorithm == "hit-and-run"
     space = model.space
     # the bounds check of log_kernel_safe is needed only on bounded spaces;
-    # elsewhere the isfinite test below rejects what it would map to -inf
+    # elsewhere the acceptance test rejects the NaN and +inf it would map
+    # to -inf
     unbounded = np.all(space.lower == -np.inf) and np.all(space.upper == np.inf)
     kernel = model.log_kernel if unbounded else model.log_kernel_safe
 
+    chains = cfg.chains
     streams = [_chain_streams(seq, steps, d, hit_and_run)
-               for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.chains)]
-    zs = np.empty((min(CHUNK, steps), cfg.chains, d))
-    log_us = np.empty((zs.shape[0], cfg.chains))
-    dirs = np.empty_like(zs) if hit_and_run else None
+               for seq in np.random.SeedSequence(cfg.seed).spawn(chains)]
+    width = min(CHUNK, steps)
+    zs = np.empty((width, chains, d))
+    # unscaled moves: proposal directions, or hit-and-run's unit directions
+    steer = np.empty_like(zs)
+    # per chain and chunk step: the scaled move, then the log-uniform; the
+    # PREFETCH rows past the chunk keep every round's gather inside
+    stride = width + PREFETCH
+    packed = np.zeros((chains, stride, d + 1))
+    moves, log_us = packed[..., :d], packed[..., d]
+    step_major = moves.swapaxes(0, 1)
+    flat = packed.reshape(chains * stride, d + 1)
+    row_of = list(range(0, chains * stride, stride))  # each chain's first row in `flat`
+    offset = np.array(row_of)  # each chain's next row in `flat`
+    next_row = offset[:, None]
+    ahead = np.arange(PREFETCH)
 
-    current = np.tile(start, (cfg.chains, 1))
-    cur_lk = np.full(cfg.chains, start_lk)
-    log_scale = np.full(cfg.chains, math.log(base_scale))
-    scale = np.exp(log_scale)[:, None]
-    block_acc = np.zeros(cfg.chains)
-    accepted_after = np.zeros(cfg.chains)
+    current = np.tile(start, (chains, 1))
+    cur_lk = [start_lk] * chains
+    log_scale = np.full(chains, math.log(base_scale))
+    scale = np.exp(log_scale)
+    block_acc = [0] * chains
+    accepted_after = np.zeros(chains)
 
-    retained = np.empty((cfg.chains, cfg.draws, d))
-    retained_lk = np.empty((cfg.chains, cfg.draws))
+    def scale_moves(c, lo=0):
+        """Write chain c's moves (every chain's for a slice) from step lo of
+        the chunk of n steps on, at its current scale."""
+        s = scale[c, None]
+        if hit_and_run:
+            # uniform direction on the sphere; 1-D Metropolis step along it
+            s = zs[lo:n, c, :1] * s
+        np.multiply(steer[lo:n, c], s, out=step_major[lo:n, c])
+
+    retained = np.empty((chains, cfg.draws, d))
+    retained_lk = np.empty((chains, cfg.draws))
     keep = 0
     block = 50
     for first in range(0, steps, CHUNK):
         n = min(CHUNK, steps - first)
         for c, (normals, uniforms, directions) in enumerate(streams):
             zs[:n, c, :] = normals.standard_normal((n, d))
-            log_us[:n, c] = np.log(uniforms.random(n))
+            log_us[c, :n] = np.log(uniforms.random(n))
             if hit_and_run:
                 raw = directions.standard_normal((n, d))
-                dirs[:n, c, :] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        # Metropolis: the chunk's proposal directions in one stacked matmul,
-        # the same (chains, d) @ (d, d) product per step as one call a step
-        moves = None if hit_and_run else zs[:n] @ chol.T
-        for i in range(n):
-            t = first + i
-            if hit_and_run:
-                # uniform direction on the sphere; 1-D Metropolis step along it
-                proposal = current + dirs[i] * (zs[i, :, :1] * scale)
-            else:
-                proposal = current + moves[i] * scale
-            prop_lk = np.asarray(kernel(proposal), dtype=float)
-            # cur_lk is finite, so this cannot warn; isfinite rejects NaN and +inf
-            accept = log_us[i] < (prop_lk - cur_lk)
-            accept &= np.isfinite(prop_lk)
-            np.copyto(current, proposal, where=accept[:, None])
-            np.copyto(cur_lk, prop_lk, where=accept)
-            if t < cfg.burnin:
-                block_acc += accept
-                if (t + 1) % block == 0:
-                    rate = block_acc / block
-                    log_scale += 0.6 * (rate - target)
-                    scale = np.exp(log_scale)[:, None]
-                    block_acc[:] = 0.0
-            else:
-                accepted_after += accept
-                if (t - cfg.burnin) % cfg.thin == 0:
-                    retained[:, keep, :] = current
-                    retained_lk[:, keep] = cur_lk
-                    keep += 1
+                steer[:n, c, :] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        if not hit_and_run:
+            # the chunk's proposal directions in one stacked matmul, the
+            # same (chains, d) @ (d, d) product per step as one call a step
+            np.matmul(zs[:n], chol.T, out=steer[:n])
+
+        scale_moves(slice(None))
+        packed[:, n:] = 0.0
+        chunk_start, chunk_start_lk = current.copy(), cur_lk.copy()
+        pos = [0] * chains
+        end = [_window_end(first, cfg.burnin, block, first + n) - first] * chains
+        offset[:] = row_of
+        accepted_at = [[] for _ in range(chains)]
+        accepted_lk = [[] for _ in range(chains)]
+        parked = 0
+
+        # Rounds: one kernel call on every chain's next PREFETCH proposals.
+        # They all start from the chain's current point, which holds while
+        # it rejects, so each chain takes them up to its first acceptance or
+        # its window's end; a parked chain's rows are zero moves.
+        while parked < chains:
+            batch = flat.take(next_row + ahead, axis=0)
+            proposal = current[:, None, :] + batch[..., :d]
+            prop_lk = np.asarray(kernel(proposal.reshape(-1, d)), dtype=float)
+            lks, log_u = prop_lk.reshape(chains, PREFETCH).tolist(), batch[..., d].tolist()
+            for c in range(chains):
+                p = pos[c]
+                lim = min(end[c] - p, PREFETCH)
+                if lim == 0:
+                    continue
+                lk, u, now = lks[c], log_u[c], cur_lk[c]
+                for j in range(lim):
+                    # now is finite, so NaN compares False; +inf is rejected
+                    if u[j] < lk[j] - now and lk[j] < math.inf:
+                        current[c] = proposal[c, j]
+                        cur_lk[c] = lk[j]
+                        accepted_at[c].append(p + j)
+                        accepted_lk[c].append(lk[j])
+                        block_acc[c] += 1
+                        p += j + 1
+                        break
+                else:
+                    p += lim
+                pos[c] = p
+                offset[c] = row_of[c] + p
+                if p < end[c]:
+                    continue
+                t = first + p
+                if t % block == 0 and t <= cfg.burnin:
+                    log_scale[c] += 0.6 * (block_acc[c] / block - target)
+                    block_acc[c] = 0
+                    scale = np.exp(log_scale)
+                    scale_moves(c, p)
+                if p == n:
+                    parked += 1
+                else:
+                    end[c] = _window_end(t, cfg.burnin, block, first + n) - first
+
+        # Retention, deferred to the chunk's end: a chain's state after step
+        # t is its chunk-start state plus its moves accepted up to t, added
+        # in the order the steps added them.
+        lo = min(max(cfg.burnin - first, 0), n)
+        kept = np.arange(lo + (cfg.burnin - first - lo) % cfg.thin, n, cfg.thin)
+        for c in range(chains):
+            at = np.array(accepted_at[c], dtype=np.intp)
+            accepted_after[c] += at.size - np.searchsorted(at, lo)
+            if kept.size:
+                states = np.cumsum(np.concatenate([chunk_start[c, None], moves[c, at]]), axis=0)
+                lks = np.array([chunk_start_lk[c]] + accepted_lk[c])
+                last = np.searchsorted(at, kept, side="right")
+                retained[c, keep:keep + kept.size] = states[last]
+                retained_lk[c, keep:keep + kept.size] = lks[last]
+        keep += kept.size
 
     post_steps = steps - cfg.burnin
     rates = accepted_after / max(post_steps, 1)

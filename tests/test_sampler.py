@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -18,6 +19,7 @@ from fbst import (
 )
 from fbst.sampler import (
     CHUNK,
+    PREFETCH,
     DegenerateSeriesError,
     InitializationError,
     SamplerStuckError,
@@ -102,6 +104,18 @@ BETA_SPEC = {"family": "generic", "coordinates": ["p"],
 BOUNDED_SPEC = {"family": "generic", "coordinates": ["p", "q"],
                 "log_kernel": "7*log(p) + 13*log(1-p) - 0.5*(q - p)*(q - p)",
                 "bounds": [[0, 1], [None, None]]}
+
+
+def _nonfinite_kernel(theta):
+    # +inf right of 1.5 and NaN left of -1.5: the sampler must reject both
+    th = np.asarray(theta, dtype=float)
+    x = th[..., 0]
+    with np.errstate(invalid="ignore"):
+        return np.where(x > 1.5, np.inf, np.where(x < -1.5, np.nan, -0.5 * (th * th).sum(axis=-1)))
+
+
+NONFINITE_MODEL = StatisticalModel(ParameterSpace(("u", "v"), np.full(2, -np.inf), np.full(2, np.inf)),
+                                   _nonfinite_kernel, mode=np.zeros(2))
 
 
 def _manual_sample(values, seed=0):
@@ -234,6 +248,19 @@ BIT_IDENTITY_CASES = {
     # 777 + 3 * 1000 steps: several chunks, the last one partial
     "chunks-hit-and-run": (lambda _: make_gaussian_mean_model(1.0, 2.0), SamplerConfig(
         algorithm="hit-and-run", seed=6, chains=2, draws=1_000, burnin=777, thin=3)),
+    "chunks-metropolis": (_regression(2), SamplerConfig(seed=8, chains=3, draws=1_000, burnin=777, thin=3)),
+    # the benchmark's select-fbst and gaussian-batch samplers
+    "select-fbst-order5": (_regression(5), SamplerConfig(seed=9, chains=4, draws=1_000, burnin=500)),
+    "gaussian-batch": (lambda _: make_gaussian_mean_model(0.05, 1.0 / 200), SamplerConfig(
+        seed=10, chains=2, draws=1_000, burnin=500)),
+    # burn-in ends inside the first round
+    "short-burnin-one-chain": (lambda _: make_gaussian_mean_model(-1.0, 0.5),
+                               SamplerConfig(seed=11, chains=1, draws=1_000, burnin=5)),
+    "eight-chains": (_regression(3), SamplerConfig(seed=12, chains=8, draws=1_000, burnin=400)),
+    "nonfinite-kernel": (lambda _: NONFINITE_MODEL, SamplerConfig(seed=15, chains=3, draws=1_000, burnin=200)),
+    # most proposals leave [0, 1], so most speculative rows are out of bounds
+    "bounded-wide-scale": (lambda _: model_from_spec(BOUNDED_SPEC)[0],
+                           SamplerConfig(seed=13, chains=3, draws=1_000, burnin=300, scale=5.0)),
 }
 
 
@@ -249,10 +276,68 @@ class TestBitIdentity:
         assert np.array_equal(got.acceptance_rates, want.acceptance_rates)
         assert np.array_equal(got.stationarity_flags, want.stationarity_flags)
 
+    def test_one_chain_regression_differs_in_last_bits(self, table2):
+        # The regression kernel's matmul rounds a batch of one row (the
+        # reference's one chain) differently from a batch of several, in the
+        # last bits; with two or more chains both are batches of several.
+        model = make_polynomial_regression_model(table2, 3)
+        cfg = SamplerConfig(seed=14, chains=1, draws=1_000, burnin=500)
+        got, want = sample_posterior(model, cfg), _reference_sample(model, cfg)
+        assert np.array_equal(got.draws, want.draws)
+        assert np.allclose(got.log_surprise, want.log_surprise, rtol=0.0, atol=1e-12)
+
     def test_case_spans_partial_chunks(self):
-        cfg = BIT_IDENTITY_CASES["chunks-hit-and-run"][1]
-        steps = cfg.burnin + cfg.draws * cfg.thin
-        assert steps > 2 * CHUNK and steps % CHUNK != 0
+        for case in ("chunks-hit-and-run", "chunks-metropolis"):
+            cfg = BIT_IDENTITY_CASES[case][1]
+            steps = cfg.burnin + cfg.draws * cfg.thin
+            assert steps > 2 * CHUNK and steps % CHUNK != 0
+
+    def test_short_burnin_ends_within_one_round(self):
+        cfg = BIT_IDENTITY_CASES["short-burnin-one-chain"][1]
+        assert cfg.chains == 1 and 0 < cfg.burnin < PREFETCH
+
+    def test_wide_scale_leaves_the_bounds(self):
+        rows = []
+
+        class Recording(StatisticalModel):
+            def log_kernel_safe(self, theta):
+                rows.append(np.asarray(theta)[..., 0].ravel())
+                return super().log_kernel_safe(theta)
+
+        model = model_from_spec(BOUNDED_SPEC)[0]
+        fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+        sample_posterior(Recording(**fields), BIT_IDENTITY_CASES["bounded-wide-scale"][1])
+        p = np.concatenate(rows)
+        assert np.mean((p < 0.0) | (p > 1.0)) > 0.5
+
+
+class TestPrefetch:
+    def test_rounds_batch_kernel_calls(self, table2):
+        model = make_polynomial_regression_model(table2, 3)
+        shapes = []
+
+        def counting(theta):
+            shapes.append(np.shape(theta))
+            return model.log_kernel(theta)
+
+        cfg = SamplerConfig(seed=0, chains=4, draws=1_000, burnin=500)
+        sample_posterior(dataclasses.replace(model, log_kernel=counting), cfg)
+        steps = cfg.burnin + cfg.draws
+        # one call at the initial point, then one per round of PREFETCH
+        # proposals per chain; a one-step loop made `steps` calls
+        assert shapes[0] == (5,)
+        assert set(shapes[1:]) == {(cfg.chains * PREFETCH, 5)}
+        assert len(shapes) < 0.4 * steps
+
+    def test_speculative_rows_raise_no_warning(self):
+        # speculative proposals past a chain's first acceptance are
+        # evaluated too, most of them outside [0, 1] at this scale
+        model, _ = model_from_spec(BOUNDED_SPEC)
+        cfg = SamplerConfig(seed=0, chains=4, draws=1_000, burnin=300, scale=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = sample_posterior(model, cfg)
+        assert np.all((s.draws[:, 0] > 0.0) & (s.draws[:, 0] < 1.0))
 
 
 def _peak_bytes(fn, *args):
@@ -270,8 +355,8 @@ class TestRandomnessMemory:
     def test_peak_bounded_by_chunk_not_steps(self):
         # 20_000 steps per chain, 1000 retained: the reference holds every
         # step's randomness at once, the chunked sampler CHUNK steps of it.
-        # Measured peaks (numpy 2.4, CHUNK = 1024): reference 962 kB,
-        # sample_posterior 137 kB.
+        # Measured peaks (numpy 2.4, CHUNK = 1024, PREFETCH = 8): reference
+        # 962 kB, sample_posterior 225 kB.
         model = make_gaussian_mean_model(0.0, 1.0)
         cfg = SamplerConfig(seed=0, chains=2, draws=1_000, burnin=0, thin=20)
         assert _peak_bytes(sample_posterior, model, cfg) < self.BOUND
