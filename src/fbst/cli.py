@@ -27,7 +27,7 @@ from .model import (
     complement,
     model_from_spec,
 )
-from .modelsel import benchmark_dataset, fitted_curves, select_order, selection_table
+from .modelsel import benchmark_dataset, fitted_curves, select_order
 from .optimizer import UnboundedSurpriseError, maximize_surprise
 from .sampler import (
     InitializationError,

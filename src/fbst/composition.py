@@ -10,11 +10,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .truth import TruthLadder, _ladder_from_sorted, condense, eval_truth
+from .model import SpecError, hypothesis_from_spec, model_from_spec
+from .optimizer import maximize_surprise
+from .sampler import SamplerConfig, sample_posterior
+from .truth import TruthLadder, _ladder_from_sorted, condense, estimate_truth_ladder, eval_truth
 
 DEFAULT_PAIR_BUDGET = 2 ** 20
 
@@ -67,7 +70,6 @@ class CompositeStructure:
 
     ladders: tuple
     log_s_star: np.ndarray  # shape (q, k)
-    models: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "ladders", tuple(self.ladders))
@@ -123,11 +125,6 @@ def analyze_network(
 
     Spec shape: {"serial": [model specs], "disjuncts": [[hyp or null, ...]]}.
     """
-    from .model import SpecError, hypothesis_from_spec, model_from_spec
-    from .optimizer import maximize_surprise
-    from .sampler import SamplerConfig, sample_posterior
-    from .truth import estimate_truth_ladder
-
     if not isinstance(spec, dict) or "serial" not in spec or "disjuncts" not in spec:
         raise SpecError("network spec needs 'serial' and 'disjuncts' fields")
     models = [model_from_spec(ms)[0] for ms in spec["serial"]]
@@ -149,5 +146,5 @@ def analyze_network(
             H = hypothesis_from_spec(hyp_spec, models[j].space.names)
             opt = maximize_surprise(models[j], H, samples[j])
             grid[i, j] = opt.log_s_star
-    structure = CompositeStructure(tuple(ladders), grid, tuple(models))
+    structure = CompositeStructure(tuple(ladders), grid)
     return structure, disjunctive_evalue(structure, n_max)

@@ -8,7 +8,7 @@ scipy.special (gammainc, gammaincinv).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -70,10 +70,9 @@ class EvidenceReport:
     ess: Optional[float] = None
     n_max: int = 0
     seed: Optional[int] = None
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "ev": self.ev,
             "ev_bar": self.ev_bar,
             "sev": self.sev,
@@ -90,8 +89,6 @@ class EvidenceReport:
             "n_max": self.n_max,
             "seed": self.seed,
         }
-        out.update(self.extras)
-        return out
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
@@ -147,6 +144,6 @@ def standardized_evalue(report: EvidenceReport) -> EvidenceReport:
         # the standardization is tail-sensitive; report the MC bracket
         report.sev_interval = (
             1.0 - standardize(t, h, 2.0 / report.ess),
-            1.0 - standardize(t, h, 0.0),
+            1.0,
         )
     return report

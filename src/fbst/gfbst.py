@@ -8,7 +8,6 @@ cells, so every logical condition can be checked without Monte-Carlo error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
 
 from .expressions import compile_expression, linear_coefficients
 
@@ -89,7 +90,9 @@ class StatisticalModel:
     (log r == 0).  The sampler calls the kernel on speculative batches of
     shape (chains * PREFETCH, d), many of whose rows no chain moves to, so
     a kernel must be pure: no side effects, and no dependence on earlier
-    calls.
+    calls.  `proposal_chol` is any factor C with C C' equal to the proposal
+    covariance, not necessarily a lower-triangular Cholesky factor; the
+    polynomial regression's is upper triangular.
     """
 
     space: ParameterSpace
@@ -334,25 +337,40 @@ def polynomial_design(x: np.ndarray, k: int) -> np.ndarray:
     return np.vander(np.asarray(x, dtype=float), k + 1, increasing=True)
 
 
+def least_squares(data: Dataset, k: int):
+    """Order-k least-squares fit of y on x: (X, L_inv, beta_hat, ssr).
+
+    X'X = L L' is factored once and never inverted: beta_hat comes from
+    triangular solves against L, and the lower-triangular L_inv = L^-1
+    gives the model's covariance s2 L^-T L^-1.  Raises ValueError unless
+    n > k + 2, and SingularDesignError when cond(X'X) > 1e12.
+    """
+    if data.n <= k + 2:
+        raise ValueError("need n > k + 2 observations")
+    X = polynomial_design(data.column("x"), k)
+    y = data.column("y")
+    XtX = X.T @ X
+    if np.linalg.cond(XtX) > 1e12:
+        raise SingularDesignError("X'X is numerically singular")
+    L = np.linalg.cholesky(XtX)
+    L_inv = solve_triangular(L, np.eye(k + 1), lower=True)
+    beta_hat = cho_solve((L, True), X.T @ y)
+    resid = y - X @ beta_hat
+    return X, L_inv, beta_hat, float(resid @ resid)
+
+
 def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
     """Polynomial regression of order k with the weakly informative 1/sigma prior.
 
     Parameters are (b0..bk, log_sigma); sigma is handled as log(sigma)
     internally so the space is unbounded.  The surprise function equals
-    the posterior density in the (beta, sigma) coordinates.
+    the posterior density in the (beta, sigma) coordinates.  beta_hat and
+    the SSR come from `least_squares`, and the proposal's beta block is
+    sqrt(s2) L^-T, an upper-triangular factor of s2 (X'X)^-1.
     """
-    x = data.column("x")
+    X, L_inv, beta_hat, ssr = least_squares(data, k)
     y = data.column("y")
     n = data.n
-    if n <= k + 2:
-        raise ValueError("need n > k + 2 observations")
-    X = polynomial_design(x, k)
-    XtX = X.T @ X
-    if np.linalg.cond(XtX) > 1e12:
-        raise SingularDesignError("X'X is numerically singular")
-    beta_hat = np.linalg.solve(XtX, X.T @ y)
-    y_hat = X @ beta_hat
-    ssr = float((y - y_hat) @ (y - y_hat))
     s2 = ssr / (n - k)
     names = tuple(f"b{i}" for i in range(k + 1)) + ("log_sigma",)
     space = unbounded_space(names)
@@ -378,9 +396,8 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
 
     sigma_mode2 = (n - k) * s2 / (n + 1)
     mode = np.concatenate([beta_hat, [0.5 * math.log(sigma_mode2)]])
-    cov_beta = s2 * np.linalg.inv(XtX)
     chol = np.zeros((k + 2, k + 2))
-    chol[: k + 1, : k + 1] = np.linalg.cholesky(cov_beta + 1e-12 * np.eye(k + 1))
+    chol[: k + 1, : k + 1] = math.sqrt(s2) * L_inv.T
     chol[k + 1, k + 1] = math.sqrt(1.0 / (2.0 * (n - k)))
     return StatisticalModel(
         space=space,
@@ -392,8 +409,8 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
         extra={
             "X": X,
             "y": y,
-            "XtX": XtX,
-            "XtX_inv": np.linalg.inv(XtX),
+            "XtX": X.T @ X,
+            "XtX_inv": L_inv.T @ L_inv,
             "beta_hat": beta_hat,
             "s2": s2,
             "ssr": ssr,

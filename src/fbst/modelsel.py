@@ -19,6 +19,7 @@ from .evalue import evalue
 from .model import (
     Dataset,
     coordinate_zero_hypothesis,
+    least_squares,
     make_polynomial_regression_model,
     polynomial_design,
 )
@@ -55,23 +56,9 @@ def synthesize_dataset(seed: int, n: int = 21) -> Dataset:
     return Dataset(np.column_stack([x, y]), ("x", "y"))
 
 
-def _fit(data: Dataset, k: int):
-    X = polynomial_design(data.column("x"), k)
-    y = data.column("y")
-    XtX = X.T @ X
-    if np.linalg.cond(XtX) > 1e12:
-        raise np.linalg.LinAlgError("singular polynomial design")
-    beta = np.linalg.solve(XtX, X.T @ y)
-    resid = y - X @ beta
-    return beta, float(resid @ resid)
-
-
 def empirical_error(data: Dataset, k: int) -> float:
     """Mean squared residual SSR/n of the least-squares order-k fit."""
-    if k > data.n - 3:
-        raise ValueError("polynomial order too large for the dataset")
-    _, ssr = _fit(data, k)
-    return ssr / data.n
+    return least_squares(data, k)[-1] / data.n
 
 
 def penalty_factor(criterion: str, d: int, n: int) -> float:
@@ -224,6 +211,6 @@ def fitted_curves(data: Dataset, k_max: int, grid_points: int = 101):
     xs = np.linspace(data.column("x").min(), data.column("x").max(), grid_points)
     curves = {"x": xs, "target": target_function(xs)}
     for k in range(k_max + 1):
-        beta, _ = _fit(data, k)
+        beta = least_squares(data, k)[2]
         curves[f"order_{k}"] = polynomial_design(xs, k) @ beta
     return curves

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import StatisticalModel, log_surprise
+from .model import StatisticalModel
 
 # Steps of randomness generated at a time; bounds the sampler's random
 # buffers and changes no draw.

@@ -24,6 +24,7 @@ from fbst import (
     point_hypothesis,
 )
 from fbst.expressions import ExpressionError, compile_expression
+from fbst.optimizer import closed_form_constrained_mode
 
 
 def reference_residuals(H, theta):
@@ -290,6 +291,24 @@ class TestPolynomialRegressionFamily:
         small = Dataset(table2.values[:4], ("x", "y"))
         with pytest.raises(ValueError):
             make_polynomial_regression_model(small, 3)
+
+    def test_order8_proposal_factor_has_the_posterior_covariance(self, table2):
+        # cond(X'X) is 3.8e11 at order 8, under the 1e12 rule, and an explicit
+        # inverse of X'X is not positive definite there; L^-T never forms it
+        m = make_polynomial_regression_model(table2, 8)
+        C = m.proposal_chol
+        cov = (C @ C.T)[:9, :9]
+        ref = m.extra["s2"] * m.extra["XtX_inv"]
+        assert np.max(np.abs(cov - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(C, np.triu(C))
+
+    def test_dropping_the_top_coefficient_gives_the_lower_order_fit(self, table2):
+        # the b_k = 0 projection of the order-k fit is the order-(k-1) fit
+        for k in range(1, 6):
+            a = np.eye(k + 1)[k]
+            opt = closed_form_constrained_mode(make_polynomial_regression_model(table2, k), a)
+            lower = make_polynomial_regression_model(table2, k - 1).extra["beta_hat"]
+            assert np.max(np.abs(opt.theta_star[:k] - lower)) <= 1e-12
 
 
 class TestDataset:

@@ -1,9 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from fbst import SamplerConfig, benchmark_dataset, empirical_error, penalty_factor, select_order
+from fbst import (
+    SamplerConfig,
+    SingularDesignError,
+    benchmark_dataset,
+    empirical_error,
+    make_polynomial_regression_model,
+    penalty_factor,
+    select_order,
+)
+from fbst.cli import main
 from fbst.modelsel import (
     aic,
     evalue_top_coefficient,
@@ -43,6 +53,17 @@ class TestEmpiricalError:
     def test_order_too_large(self, table2):
         with pytest.raises(ValueError):
             empirical_error(table2, 19)
+
+    def test_model_reads_the_same_fit(self, table2):
+        for k in range(9):
+            model = make_polynomial_regression_model(table2, k)
+            assert empirical_error(table2, k) == model.extra["ssr"] / table2.n
+
+    def test_order9_design_is_singular(self, table2):
+        with pytest.raises(SingularDesignError):
+            empirical_error(table2, 9)
+        with pytest.raises(SingularDesignError):
+            make_polynomial_regression_model(table2, 9)
 
 
 class TestPenaltyFactors:
@@ -183,3 +204,21 @@ class TestGenerator:
         curves = fitted_curves(table2, 3, grid_points=50)
         assert curves["x"].shape == (50,)
         assert set(f"order_{k}" for k in range(4)) <= set(curves)
+
+
+class TestSelectCli:
+    FAST = ["--seed", "0", "--draws", "1000", "--chains", "2", "--burnin", "200"]
+
+    def test_fbst_scan_up_to_order_8(self, capsys):
+        code = main(["select", "--builtin", "sakamoto", "--kmax", "8", "--criterion", "fbst"]
+                    + self.FAST)
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 9
+
+    def test_order_9_fails_alike_under_every_criterion(self, capsys):
+        errors = []
+        for criterion in ("sbc", "fbst"):
+            argv = ["select", "--builtin", "sakamoto", "--kmax", "9", "--criterion", criterion]
+            assert main(argv + self.FAST) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: X'X is numerically singular\n"] * 2

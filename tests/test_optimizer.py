@@ -273,8 +273,10 @@ class TestGeneralPathCases:
         return model, H, sample
 
     def test_nan_constraint_never_yields_a_point_outside(self, sqrt_case):
-        # no start lies in H and SLSQP cannot leave the NaN region, so the
-        # search fails rather than return a draw outside H
+        # np.clip passes the NaN value of sqrt(a) to SLSQP, which then walks
+        # to the unconstrained mode (-2, 0) even from (0, 0), a point of H;
+        # its residuals there are (0, inf), so the search fails rather than
+        # return a point outside H
         model, H, sample = sqrt_case
         with pytest.raises(InfeasibleHypothesisError):
             maximize_surprise(model, H, sample)
