@@ -194,21 +194,22 @@ CHECKS = (
 _COLUMNS = {name: [j for j, (cond, _) in enumerate(CHECKS) if cond == name] for name in CONDITIONS}
 
 
-def _random_mask(grid: GridModel, rng: np.random.Generator) -> np.ndarray:
-    """Proper non-empty subset with size log-uniform in [1, cells - 1]."""
+def _draw_masks(grid: GridModel, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill each row of the (rows, cells) bool block `out` with a proper
+    non-empty subset whose size is log-uniform in [1, cells - 1]."""
     n = grid.cells
-    size = int(np.exp(rng.uniform(0.0, np.log(n - 1))))
-    size = min(max(size, 1), n - 1)
-    kind = rng.integers(0, 3)
-    if kind == 0:
-        idx = rng.choice(n, size=size, replace=False)
-    elif kind == 1:  # low-surprise cells: rejectable hypotheses
-        idx = grid._order[:size]
-    else:  # high-surprise cells: complements become rejectable
-        idx = grid._order[-size:]
-    mask = np.zeros(n, dtype=bool)
-    mask[idx] = True
-    return mask.reshape(grid.masses.shape)
+    log_span = np.log(n - 1)
+    out[:] = False
+    for row in out:
+        size = int(np.exp(rng.uniform(0.0, log_span)))
+        size = min(max(size, 1), n - 1)
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            row[rng.choice(n, size=size, replace=False)] = True
+        elif kind == 1:  # low-surprise cells: rejectable hypotheses
+            row[grid._order[:size]] = True
+        else:  # high-surprise cells: complements become rejectable
+            row[grid._order[-size:]] = True
 
 
 def _checks(evs: np.ndarray, dec: np.ndarray) -> np.ndarray:
@@ -259,10 +260,12 @@ def check_logical_properties(
     rng = np.random.default_rng(seed)
     counts = {name: 0 for name in CONDITIONS}
     first: dict = {}  # condition -> (trial, column of CHECKS)
+    block = np.empty((min(BLOCK, trials) * 3, grid.cells), dtype=bool)
     for start in range(0, trials, BLOCK):
-        drawn = np.array([[_random_mask(grid, rng) for _ in range(3)]
-                          for _ in range(start, min(start + BLOCK, trials))])
-        a, b, extra = drawn.swapaxes(0, 1)
+        count = min(BLOCK, trials - start)
+        drawn = block[: count * 3]
+        _draw_masks(grid, rng, drawn)
+        a, b, extra = drawn.reshape((count, 3) + grid.masses.shape).swapaxes(0, 1)
         family = np.stack([a, b, a | extra, a | b, a & b], axis=1)
         # (trial, member, [member, complement]); each is the other's complement
         evs = grid.evalues(np.stack([family, ~family], axis=2))

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .expressions import compile_expression, linear_coefficients
 
@@ -345,6 +344,9 @@ def least_squares(data: Dataset, k: int):
     gives the model's covariance s2 L^-T L^-1.  Raises ValueError unless
     n > k + 2, and SingularDesignError when cond(X'X) > 1e12.
     """
+    # local: only regression models use scipy.linalg, and it slows `import fbst`
+    from scipy.linalg import cho_solve, solve_triangular
+
     if data.n <= k + 2:
         raise ValueError("need n > k + 2 observations")
     X = polynomial_design(data.column("x"), k)

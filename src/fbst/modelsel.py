@@ -141,7 +141,11 @@ def selection_table(
     with_evalues: bool = False,
     n_max: int = 512,
 ):
-    """Rows for orders 0..k_max; e-value columns only when requested."""
+    """Rows for orders 0..k_max; e-value columns only when requested.
+
+    Every row's error columns come first, so an order whose fit fails
+    (SingularDesignError) raises before any sampling.
+    """
     if k_max > data.n - 3:
         raise ValueError("k_max too large for the dataset")
     n = data.n
@@ -149,7 +153,7 @@ def selection_table(
     for k in range(k_max + 1):
         r_emp = empirical_error(data, k)
         d = k + 2
-        row = SelectionRow(
+        rows.append(SelectionRow(
             order=k,
             r_emp=r_emp,
             r_fpe=r_emp * penalty_factor("fpe", d, n),
@@ -157,14 +161,14 @@ def selection_table(
             r_gcv=r_emp * penalty_factor("gcv", d, n),
             r_sms=r_emp * penalty_factor("sms", d, n),
             aic=aic(data, k),
-        )
-        if with_evalues:
-            base = sampler_cfg or SamplerConfig()
-            cfg = dataclasses.replace(base, seed=base.seed + 1000 * k)
-            report = evalue_top_coefficient(data, k, cfg, n_max)
+        ))
+    if with_evalues:
+        base = sampler_cfg or SamplerConfig()
+        for row in rows:
+            cfg = dataclasses.replace(base, seed=base.seed + 1000 * row.order)
+            report = evalue_top_coefficient(data, row.order, cfg, n_max)
             row.ev = report.ev
             row.sev = report.sev
-        rows.append(row)
     return rows
 
 

@@ -14,6 +14,9 @@ s* = sup over H of the surprise, found by the first rule that applies:
   model's mode, within the space's bounds, on each piece of `H.closure()`
   (for a complement, Theta or one {g_i >= 0} per inequality); the best end
   point whose `Hypothesis.residuals` (NaN read as +inf) are within EPS_OPT wins.
+
+scipy.optimize is imported by the SLSQP path only, so `import fbst` and the
+exact rules run without it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .model import (
     Hypothesis,
@@ -206,6 +208,9 @@ def _subproblems(H: Hypothesis, affine) -> tuple:
 
 
 def _slsqp(model, sub: Hypothesis, theta0, bounds) -> np.ndarray:
+    # local: only this path uses scipy.optimize, and it slows `import fbst`
+    from scipy.optimize import minimize
+
     def objective(theta):
         val = _surprise_at(model, theta)
         return -val if np.isfinite(val) else WALL
@@ -237,6 +242,9 @@ def maximize_surprise(
     exact = _exact_optimum(model, H, affine)
     if exact is not None:
         return _finish(model, H, exact, "closed-form")
+
+    # local, as in `_slsqp`: the exact rules above need no scipy.optimize
+    from scipy.optimize import Bounds
 
     space = model.space
     finite = np.isfinite(space.lower) | np.isfinite(space.upper)

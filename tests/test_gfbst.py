@@ -16,7 +16,15 @@ from fbst import (
     region_estimator_decide,
 )
 from fbst.cli import main
-from fbst.gfbst import ACCEPT, AGNOSTIC, BLOCK, CONDITIONS, REJECT, InconsistentEvidenceError
+from fbst.gfbst import (
+    ACCEPT,
+    AGNOSTIC,
+    BLOCK,
+    CONDITIONS,
+    REJECT,
+    InconsistentEvidenceError,
+    _draw_masks,
+)
 
 
 def _reference_evalue(grid, mask):
@@ -327,6 +335,18 @@ class TestLogicalHarness:
             assert got == want
             assert list(got["witnesses"]) == list(want["witnesses"])
             assert all(type(w["trial"]) is int for w in got["witnesses"].values())
+
+    @pytest.mark.parametrize("n", [2, 4, 10, 20])
+    def test_block_masks_are_the_reference_draws(self, n):
+        # a block left dirty by the previous one, and the same stream after it
+        for seed in range(5):
+            grid = GridModel.random(n, np.random.default_rng(seed + 10))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            block = np.ones((300, grid.cells), dtype=bool)
+            _draw_masks(grid, got_rng, block)
+            want = [_reference_random_mask(grid, want_rng) for _ in range(300)]
+            assert np.array_equal(block.reshape((300,) + grid.masses.shape), want)
+            assert got_rng.random() == want_rng.random()
 
     def test_witnesses_of_every_condition(self, monkeypatch):
         import fbst.gfbst

@@ -11,8 +11,10 @@ from fbst import (
     empirical_error,
     make_polynomial_regression_model,
     penalty_factor,
+    sample_posterior,
     select_order,
 )
+from fbst import modelsel
 from fbst.cli import main
 from fbst.modelsel import (
     aic,
@@ -109,6 +111,26 @@ class TestSelectionTable:
     def test_evalue_columns_absent_by_default(self, table2):
         rows = selection_table(table2, 2)
         assert all(r.ev is None and r.sev is None for r in rows)
+
+    def test_singular_order_fails_before_sampling(self, table2, monkeypatch):
+        calls = []
+
+        def counting_sampler(model, cfg):
+            calls.append(cfg.seed)
+            return sample_posterior(model, cfg)
+
+        monkeypatch.setattr(modelsel, "sample_posterior", counting_sampler)
+        with pytest.raises(SingularDesignError):
+            selection_table(table2, 9, FAST_CFG, with_evalues=True)
+        assert calls == []
+
+    def test_evalue_columns_seeded_per_order(self, table2):
+        cfg = SamplerConfig(seed=7, chains=2, draws=1_000, burnin=200)
+        rows = selection_table(table2, 2, cfg, with_evalues=True)
+        for row in rows:
+            own = SamplerConfig(seed=7 + 1000 * row.order, chains=2, draws=1_000, burnin=200)
+            report = evalue_top_coefficient(table2, row.order, own)
+            assert (row.ev, row.sev) == (report.ev, report.sev)
 
 
 class TestAic:
