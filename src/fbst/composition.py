@@ -35,14 +35,72 @@ def mellin_convolve(
     """CDF ladder of the product of two independent ladder variables.
 
     Pairwise products of atoms (log-supports added, masses multiplied),
-    sorted once and condensed to n_max points.
+    condensed to n_max points. The pair sums are ordered by one in-place
+    sort of int64 keys (`_stable_pair_order`): the sum, quantized
+    monotonically, in the high bits and the flat pair index in the low
+    bits, so exact ties come out in pair-index order. Distinct sums that
+    share a quantum are put in exact order by a stable argsort, run only
+    when an inversion is left. The order is that of a stable argsort of the
+    sums, infinite supports included, and so is the ladder, bit for bit.
     """
     cap = max(2, int(math.isqrt(pair_budget)))
     w1c, w2c = condense(w1, cap), condense(w2, cap)
-    sums = (w1c.log_v[:, None] + w2c.log_v[None, :]).ravel()
-    masses = (w1c.atom_masses()[:, None] * w2c.atom_masses()[None, :]).ravel()
-    order = np.argsort(sums)
-    return _ladder_from_sorted(sums[order], masses[order], n_max, "convolved")
+    a, b = w1c.log_v, w2c.log_v
+    sums, index, sorted_sums = _stable_pair_order(a, b)
+    # the masses' outer product reuses the sums' row, now gathered
+    np.multiply.outer(w1c.atom_masses(), w2c.atom_masses(), out=sums.reshape(a.size, b.size))
+    return _ladder_from_sorted(sorted_sums, np.take(sums, index), n_max, "convolved")
+
+
+def _stable_pair_order(a: np.ndarray, b: np.ndarray):
+    """(sums, order, sums[order]) for the pair sums (a[:, None] + b[None, :])
+    .ravel() of two increasing supports and their stable argsort `order`,
+    from one in-place sort of int64 keys: the pair index in the low
+    bit_length(N - 1) bits and, above them, the sum quantized as
+    (sum - least finite sum) * scale, monotone in the sum.
+
+    The three are rows of one block, so that the caller holds at most four
+    pair-sized arrays at once, and so that glibc's malloc reuses the block
+    from one call to the next, where it maps fresh pages for three separate
+    arrays on every call."""
+    work = np.empty((3, a.size * b.size))
+    sums, gathered, key = work[0], work[1], work[2].view(np.int64)
+    np.add.outer(a, b, out=sums.reshape(a.size, b.size))
+    bits = max(1, (sums.size - 1).bit_length())
+    top = 2.0 ** (61 - bits)  # finite sums quantize into [0, top (1 + 4 eps)]
+    fa, fb = a[np.isfinite(a)], b[np.isfinite(b)]
+    lo = span = 0.0
+    if fa.size and fb.size:
+        # fl(x + y) is monotone in x and in y: the extreme finite sums
+        lo = float(fa[0] + fb[0])
+        span = float(fa[-1] + fb[-1]) - lo
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite span
+        np.subtract(sums, lo, out=gathered)
+        gathered *= top / span if 0.0 < span < math.inf else 0.0
+    if fa.size < a.size or fb.size < b.size or span == math.inf:
+        # -inf shares key 0 with the least finite sum (the repair below
+        # orders them); +inf and then NaN rank above every finite sum
+        np.nan_to_num(gathered, copy=False, nan=3 * top, posinf=2 * top, neginf=0.0)
+    key[:] = gathered
+    key <<= bits
+    grid = key.reshape(a.size, b.size)
+    grid += (np.arange(a.size, dtype=np.int64) * b.size)[:, None]
+    grid += np.arange(b.size, dtype=np.int64)
+    key.sort()
+    key &= (1 << bits) - 1
+    # mode="clip" (every index is in range) writes into `out` directly,
+    # where "raise" would fill a pair-sized temporary first
+    np.take(sums, key, out=gathered, mode="clip")
+    if not np.all(gathered[1:] >= gathered[:-1]):
+        # distinct sums that share a quantum (or a NaN sum): a stable
+        # argsort of the nearly sorted sums keeps ties in index order; the
+        # reordered keys go to the gathered sums' row, and the sums are
+        # gathered again into the old keys' row
+        order = np.argsort(gathered, kind="stable")
+        np.take(key, order, out=gathered.view(np.int64), mode="clip")
+        key, gathered = gathered.view(np.int64), key.view(np.float64)
+        np.take(sums, key, out=gathered, mode="clip")
+    return sums, key, gathered
 
 
 def convolve_all(

@@ -14,6 +14,9 @@ s* = sup over H of the surprise, found by the first rule that applies:
   model's mode, within the space's bounds, on each piece of `H.closure()`
   (for a complement, Theta or one {g_i >= 0} per inequality); the best end
   point whose `Hypothesis.residuals` (NaN read as +inf) are within EPS_OPT wins.
+  SLSQP's gradients come from batched difference quotients: one call of the
+  objective or of a constraint on x and the d points x + h e_i, equal to
+  scipy's own 2-point quotients (`_forward_differences`).
 
 scipy.optimize is imported by the SLSQP path only, so `import fbst` and the
 exact rules run without it.
@@ -43,6 +46,8 @@ SLSQP_OPTIONS = {"ftol": 1e-12, "maxiter": 500}
 # bound, or an overflow far out), so that SLSQP's line search and
 # difference quotients stay finite
 WALL = 1e10
+# scipy's SLSQP default difference step, sqrt of the float64 epsilon
+STEP = math.sqrt(np.finfo(float).eps)
 # families whose `mode` is the exact maximizer of the surprise
 EXACT_MODE_FAMILIES = ("gaussian-mean", "polynomial-regression")
 
@@ -207,6 +212,44 @@ def _subproblems(H: Hypothesis, affine) -> tuple:
     return (Hypothesis(H.inequalities, tuple(H.equalities[i] for i in affine[2])),)
 
 
+def _losses(model, thetas: np.ndarray) -> np.ndarray:
+    """SLSQP's objective, -log s, at each row of thetas: WALL where s is not
+    finite or vanishes, or the row is outside the space."""
+    inside = model.space.contains(thetas)
+    vals = np.full(len(thetas), -math.inf)
+    if inside.any():
+        vals[inside] = log_surprise(model, thetas[inside])
+    return np.where(np.isfinite(vals), -vals, WALL)
+
+
+def _forward_differences(fun, lower, upper):
+    """`jac=` for SLSQP: the gradient of the batched function `fun` from one
+    call on x and the d points x + h_i e_i. It equals scipy's default, the
+    2-point quotient of `approx_derivative` with absolute step sqrt(eps):
+    x is clipped into the bounds, h_i is relative where x_i + h_i rounds to
+    x_i, flipped or cut to the bound where x_i + h_i leaves the bounds, and
+    the quotient is taken over dx_i = (x_i + h_i) - x_i."""
+    d = lower.size
+
+    def jac(x):
+        x = np.minimum(np.maximum(x, lower), upper)
+        sign = np.where(x >= 0, 1.0, -1.0)
+        h = np.where((x + STEP) - x == 0, STEP * sign * np.maximum(1.0, np.abs(x)), STEP)
+        below, above = x - lower, upper - x
+        fitting = np.abs(h) <= np.maximum(below, above)
+        h = np.where(((x + h < lower) | (x + h > upper)) & fitting, -h, h)
+        h = np.where(fitting, h, np.where(above >= below, above, -below))
+        ahead = x + h
+        points = np.empty((d + 1, d))
+        points[:] = x
+        points.reshape(-1)[d :: d + 1] = ahead  # row i + 1 moves coordinate i
+        f = np.empty(d + 1)
+        f[:] = fun(points)
+        return (f[1:] - f[0]) / (ahead - x)
+
+    return jac
+
+
 def _slsqp(model, sub: Hypothesis, theta0, bounds) -> np.ndarray:
     # local: only this path uses scipy.optimize, and it slows `import fbst`
     from scipy.optimize import minimize
@@ -215,12 +258,16 @@ def _slsqp(model, sub: Hypothesis, theta0, bounds) -> np.ndarray:
         val = _surprise_at(model, theta)
         return -val if np.isfinite(val) else WALL
 
-    cons = [{"type": "eq", "fun": h} for h in sub.equalities]
-    # an infinite inequality (a closure piece where g_i is NaN) reads as WALL
-    cons += [{"type": "ineq", "fun": lambda th, g=g: -np.clip(g(th), -WALL, WALL)}
-             for g in sub.inequalities]
+    def clipped(g):
+        # an infinite inequality (a closure piece where g_i is NaN) reads as WALL
+        return lambda th: -np.clip(g(th), -WALL, WALL)
+
+    lower, upper = model.space.lower, model.space.upper
+    funs = [("eq", h) for h in sub.equalities] + [("ineq", clipped(g)) for g in sub.inequalities]
+    cons = [{"type": kind, "fun": f, "jac": _forward_differences(f, lower, upper)} for kind, f in funs]
+    jac = _forward_differences(lambda thetas: _losses(model, thetas), lower, upper)
     with np.errstate(all="ignore"):
-        res = minimize(objective, theta0, method="SLSQP", bounds=bounds,
+        res = minimize(objective, theta0, method="SLSQP", jac=jac, bounds=bounds,
                        constraints=cons, options=SLSQP_OPTIONS)
     return res.x
 

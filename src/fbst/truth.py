@@ -78,13 +78,14 @@ def _condensed_index(w: np.ndarray, n_max: int):
 
 def _ladder_from_sorted(log_v: np.ndarray, masses: np.ndarray, n_max: int, provenance: str) -> TruthLadder:
     """Ladder of at most n_max points from sorted support values (ties
-    allowed) and their masses, condensed without building the full ladder."""
+    allowed) and their masses, condensed without building the full ladder.
+    The masses' buffer is overwritten by their cumulative sum."""
     new_run = log_v[1:] != log_v[:-1]
     if not new_run.all():
         # a run of equal values is summed first, then joins the running mass
         starts = np.flatnonzero(np.append(True, new_run))
         log_v, masses = log_v[starts], np.add.reduceat(masses, starts)
-    w = np.cumsum(masses)
+    w = np.cumsum(masses, out=masses)
     w /= w[-1]
     idx = _condensed_index(w, n_max)
     return TruthLadder(log_v[idx], w[idx], provenance)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from fbst import (
     point_hypothesis,
     sample_posterior,
 )
-from fbst.composition import MissingComponentError, analyze_network, convolve_all
+from fbst import composition
+from fbst.composition import MissingComponentError, _stable_pair_order, analyze_network, convolve_all
 from fbst.truth import estimate_truth_ladder, sup_distance
 from test_truth import (
     _reference_condense,
@@ -109,6 +111,85 @@ class TestSinglePassBuilder:
         a, b = chi2_ladders[0], chi2_ladders[1]
         assert _peak_bytes(mellin_convolve, a, b) < 16_000_000
         assert _peak_bytes(_reference_mellin, a, b) > 16_000_000
+
+
+def random_ladder(log_v, seed):
+    masses = np.random.default_rng(seed).random(len(log_v))
+    w = np.cumsum(masses) / masses.sum()
+    w[-1] = 1.0
+    return TruthLadder(np.asarray(log_v, dtype=float), w)
+
+
+def clustered_ladder(seed):
+    """200 supports within 1e-9 of 0 and one at 1e7: every pair sum near 0
+    shares the least key quantum (about 6e-7 here)."""
+    near = np.sort(np.random.default_rng(seed).random(200)) * 1e-9
+    return random_ladder(np.append(near, 1e7), seed)
+
+
+class TestKeySort:
+    @staticmethod
+    def argsorts_in(monkeypatch, fn, *args):
+        """fn(*args) and the `kind` of each np.argsort call it made."""
+        kinds = []
+        argsort = np.argsort
+
+        def spy(x, *a, **kw):
+            kinds.append(kw.get("kind"))
+            return argsort(x, *a, **kw)
+
+        monkeypatch.setattr(composition.np, "argsort", spy)
+        try:
+            return fn(*args), kinds
+        finally:
+            monkeypatch.undo()
+
+    def test_sums_within_one_quantum_are_repaired(self, monkeypatch):
+        a, b = clustered_ladder(1), clustered_ladder(2)
+        got, kinds = self.argsorts_in(monkeypatch, mellin_convolve, a, b)
+        assert kinds == ["stable"]  # the repair ran, once
+        assert_same_ladder(got, _reference_mellin(a, b))
+
+    def test_no_repair_on_512_point_ladders(self, monkeypatch, chi2_ladders):
+        # the key's quantum (span / 2^43) parts every pair sum here
+        got, kinds = self.argsorts_in(monkeypatch, mellin_convolve, chi2_ladders[0], chi2_ladders[3])
+        assert kinds == []
+        assert_same_ladder(got, _reference_mellin(chi2_ladders[0], chi2_ladders[3]))
+
+    def test_order_is_the_stable_argsort(self):
+        # ties, sums one quantum apart, -inf supports and a far outlier
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            a, b = (np.unique(np.round(rng.normal(size=rng.integers(1, 40)), rng.integers(0, 12)))
+                    for _ in range(2))
+            if seed % 3 == 0:
+                a = np.append(-np.inf, a)
+            if seed % 4 == 0:
+                b = np.append(b, 1e9)
+            sums = np.add.outer(a, b).ravel()
+            got_sums, order, gathered = _stable_pair_order(a, b)
+            assert np.array_equal(got_sums, sums)
+            assert np.array_equal(order, np.argsort(sums, kind="stable"))
+            assert np.array_equal(gathered, sums[order])
+
+    @pytest.mark.parametrize("other", ["chi2", "log0"])
+    def test_support_with_log_zero(self, chi2_ladders, other):
+        # log 0 = -inf: its pair sums are all -inf, a run of ties summed in
+        # another order than the reference's
+        a = random_ladder([-np.inf, -1.0, 0.0], 3)
+        b = chi2_ladders[1] if other == "chi2" else random_ladder([-np.inf, 2.0], 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mellin_convolve(a, b)
+        want = _reference_mellin(a, b)
+        assert got.log_v[0] == -np.inf
+        assert np.array_equal(got.log_v, want.log_v)
+        assert np.max(np.abs(got.w - want.w)) <= 1e-15
+
+    def test_memory_bound_of_one_512_by_512_convolution(self, chi2_ladders):
+        # four pair-sized arrays of 2.1 MB at most; measured peak 8.7 MB
+        a, b = chi2_ladders[0], chi2_ladders[1]
+        assert _peak_bytes(mellin_convolve, a, b) < 10_000_000
 
 
 class TestMellinConvolve:

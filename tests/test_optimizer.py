@@ -23,6 +23,8 @@ from fbst import (
     point_hypothesis,
     sample_posterior,
 )
+from fbst import optimizer
+from fbst.optimizer import SLSQP_OPTIONS, STEP, WALL, _slsqp, _surprise_at
 
 SMALL_CFG = OptimizerConfig(restarts=8, outer_iterations=6)
 C4_CFG = OptimizerConfig(restarts=4, outer_iterations=4)
@@ -297,3 +299,135 @@ class TestGeneralPathCases:
         # the closure of the complement is the whole line: s* is the mode's
         opt = maximize_surprise(gauss_model, complement(point_hypothesis([1.0])))
         assert opt.log_s_star == pytest.approx(float(log_surprise(gauss_model, [1.0])), abs=1e-9)
+
+
+def _reference_slsqp(model, sub, theta0, bounds):
+    """The previous `_slsqp`: SLSQP with scipy's own difference quotients,
+    one objective or constraint call per point."""
+    from scipy.optimize import minimize
+
+    def objective(theta):
+        val = _surprise_at(model, theta)
+        return -val if np.isfinite(val) else WALL
+
+    cons = [{"type": "eq", "fun": h} for h in sub.equalities]
+    cons += [{"type": "ineq", "fun": lambda th, g=g: -np.clip(g(th), -WALL, WALL)}
+             for g in sub.inequalities]
+    with np.errstate(all="ignore"):
+        res = minimize(objective, theta0, method="SLSQP", bounds=bounds,
+                       constraints=cons, options=SLSQP_OPTIONS)
+    return res.x
+
+
+def _gaussian_2d(mean, var=0.09, bounds=None):
+    spec = {"family": "generic", "coordinates": ["a", "b"],
+            "log_kernel": f"-((a - {mean[0]})^2 + (b - {mean[1]})^2) / (2 * {var})"}
+    if bounds is not None:
+        spec["bounds"] = bounds
+    return model_from_spec(spec)[0]
+
+
+class TestBatchedDifferences:
+    """SLSQP's gradients from one batched call per point against scipy's own
+    2-point differences: the same iterates, so the same optimum, bit for bit,
+    wherever the kernel gives a point the same value in every batch."""
+
+    @staticmethod
+    def both(monkeypatch, *args):
+        got = maximize_surprise(*args)
+        monkeypatch.setattr(optimizer, "_slsqp", _reference_slsqp)
+        want = maximize_surprise(*args)
+        monkeypatch.undo()
+        assert got.method == want.method == "multistart"
+        return got, want
+
+    @pytest.mark.parametrize("name, spec", [
+        ("circle", {"equalities": ["a^2 + b^2 - 1.44"]}),
+        ("half-plane", {"inequalities": ["a + b - 0.2"]}),
+    ])
+    def test_same_optimum_bit_for_bit(self, monkeypatch, name, spec):
+        model = _gaussian_2d([1.3, -0.6] if name == "circle" else [0.6, 0.1])
+        H = hypothesis_from_spec(spec, ("a", "b"))
+        sample = sample_posterior(model, SamplerConfig(seed=2, chains=4, draws=1_000, burnin=200))
+        for cfg in (OptimizerConfig(restarts=0), SMALL_CFG):
+            got, want = self.both(monkeypatch, model, H, sample, cfg)
+            assert np.array_equal(got.theta_star, want.theta_star)
+            assert got.log_s_star == want.log_s_star
+
+    def test_pieces_of_a_complement(self, monkeypatch):
+        # one SLSQP run per piece {g_i >= 0} of the closure
+        model, _ = model_from_spec({"family": "generic", "coordinates": ["a", "b"],
+                                    "log_kernel": "-(a - 0.2)^2 / 0.1 - (b - 0.1)^2 / 1.0"})
+        inner = hypothesis_from_spec({"inequalities": ["a^2 + b^2 - 1", "b - 0.6"]}, ("a", "b"))
+        H = complement(inner)
+        assert len(H.closure()) == 2
+        got, want = self.both(monkeypatch, model, H, None, OptimizerConfig(restarts=0))
+        assert np.array_equal(got.theta_star, want.theta_star)
+        for piece in H.closure():
+            for theta0 in ([0.0, 0.0], [1.5, -0.5]):
+                assert np.array_equal(_slsqp(model, piece, np.array(theta0), None),
+                                      _reference_slsqp(model, piece, np.array(theta0), None))
+
+    def test_quotients_equal_scipys(self):
+        # the d + 1 point call against scipy's approx_derivative, one point
+        # per call: steps at |x| >= 2^27, where x + sqrt(eps) rounds to x,
+        # and steps flipped or cut at the bounds [0, 1] of the first axis
+        # the function scipy's SLSQP calls for its own differences
+        from scipy.optimize._numdiff import approx_derivative
+
+        lower, upper = np.array([0.0, -np.inf, -np.inf]), np.array([1.0, np.inf, np.inf])
+
+        def fun(th):
+            th = np.asarray(th)
+            return np.exp(th[..., 0]) * np.sin(th[..., 1]) + th[..., 2] ** 3 / (1 + th[..., 0])
+
+        jac = optimizer._forward_differences(fun, lower, upper)
+        rng = np.random.default_rng(0)
+        points = [[1.0, 0.0, 0.0], [0.0, -3e9, 2e8], [1.0 - STEP / 3, 0.5, -0.5],
+                  [STEP / 3, 1.0, 1.0], [0.5, 1e-300, -1e-300]]
+        points += [[rng.random(), *rng.normal(scale=10.0 ** rng.integers(-3, 10), size=2)]
+                   for _ in range(50)]
+        for x in map(np.array, points):
+            want = approx_derivative(fun, x, method="2-point", abs_step=STEP, bounds=(lower, upper))
+            assert np.array_equal(jac(x), want)
+        # x is clipped into the bounds first, as scipy's constraint jacobian does
+        x = np.array([1.0 + 1e-6, 0.5, 0.5])
+        assert np.array_equal(jac(x), approx_derivative(fun, np.clip(x, lower, upper), method="2-point",
+                                                        abs_step=STEP, bounds=(lower, upper)))
+        # a box narrower than one step: the step is cut to the farther bound
+        narrow = (np.array([0.0, 0.0, -np.inf]), np.array([1e-8, 1.0, np.inf]))
+        cut = optimizer._forward_differences(fun, *narrow)
+        for x in ([0.7e-8, 0.5, 0.0], [0.2e-8, 0.5, 0.0]):
+            x = np.array(x)
+            want = approx_derivative(fun, x, method="2-point", abs_step=STEP, bounds=narrow)
+            assert np.array_equal(cut(x), want)
+        # no finite bound: scipy returns the steps unchanged
+        free = optimizer._forward_differences(fun, np.full(3, -np.inf), np.full(3, np.inf))
+        x = np.array([2.0, -1e9, 0.3])
+        assert np.array_equal(free(x), approx_derivative(fun, x, method="2-point", abs_step=STEP))
+
+    def test_bounded_start_within_one_step_of_the_bound(self):
+        # a + h leaves [0, 1] at the start, so the step is flipped; the mode
+        # (1.5, 0.3) lies outside the box, so the iterates reach the bound
+        from scipy.optimize import Bounds
+
+        model = _gaussian_2d([1.5, 0.3], var=0.1, bounds=[[0, 1], [None, None]])
+        bounds = Bounds(model.space.lower, model.space.upper)
+        assert (1.0 - STEP / 2) + STEP > 1.0
+        for spec in ({"inequalities": ["a + b - 1.1"]}, {"equalities": ["a^2 + b^2 - 0.8"]}):
+            H = hypothesis_from_spec(spec, ("a", "b"))
+            for theta0 in ([1.0 - STEP / 2, 0.3], [1.0, -0.2], [0.0, 0.5]):
+                theta0 = np.array(theta0)
+                got = _slsqp(model, H, theta0, bounds)
+                assert np.array_equal(got, _reference_slsqp(model, H, theta0, bounds))
+                assert model.space.contains(got)
+
+    def test_regression_within_rounding(self, monkeypatch, reg2_model, reg2_sample):
+        # the regression kernel rounds a one-row and a many-row batch
+        # differently in the last bits, so SLSQP may stop a little elsewhere
+        # along the flat direction of its quadratic
+        for spec in ({"equalities": ["b2 * b1 - 0.01"]}, {"inequalities": ["b2 - 0.5 * b1 - 0.1"]}):
+            H = hypothesis_from_spec(spec, reg2_model.space.names)
+            got, want = self.both(monkeypatch, reg2_model, H, reg2_sample, SMALL_CFG)
+            assert abs(got.log_s_star - want.log_s_star) <= 1e-10
+            assert np.max(np.abs(got.theta_star - want.theta_star)) <= 1e-7
