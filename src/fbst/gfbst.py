@@ -110,9 +110,12 @@ def modal_table(decision: Decision) -> dict:
 class GridModel:
     """Exact finite testbed: 2-D grid of posterior masses and surprise values.
 
-    The cells are sorted by surprise once, at construction: a cell-subset
-    hypothesis's e-value is then the cumulative mass up to the last cell
-    whose surprise is at most the subset's largest.
+    The cells are ranked by descending surprise once, at construction.  A
+    cell-subset hypothesis's e-value is the cumulative mass of the closed
+    lower cut of its highest-surprise cell, which is its first cell in rank
+    order: `_ev_rank[r]` holds that mass for the cell of rank r, and one
+    extra 0 for the empty hypothesis.  Masks in rank order, each ending in a
+    True sentinel column, thus find their e-values with one argmax.
     """
 
     masses: np.ndarray
@@ -130,17 +133,14 @@ class GridModel:
         masses = masses / masses.sum()
         order = np.argsort(surprise, axis=None)
         sorted_s = surprise.ravel()[order]
-        # cell -> number of cells in its closed lower cut, and cut sizes ->
-        # their cumulative mass, with cum[0] = 0 for the empty hypothesis;
-        # cut is stored in the smallest integer type that holds it, so that
-        # a batch of masks times cut stays small
-        cut = np.searchsorted(sorted_s, surprise.ravel(), "right")
+        # cum[j] is the mass of the j lowest-surprise cells and cut[r] the
+        # size of the closed lower cut of the cell of rank r (ties share it)
         cum = np.concatenate(([0.0], np.cumsum(masses.ravel()[order])))
+        cut = np.searchsorted(sorted_s, sorted_s[::-1], "right")
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "surprise", surprise)
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_cut", cut.astype(np.min_scalar_type(cut.size)))
-        object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_rank", order[::-1])  # rank -> cell
+        object.__setattr__(self, "_ev_rank", np.append(cum[cut], 0.0))
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "GridModel":
@@ -153,6 +153,11 @@ class GridModel:
     def cells(self) -> int:
         return self.masses.size
 
+    def _ranked_evalues(self, ranked: np.ndarray) -> np.ndarray:
+        """E-values of masks in rank order, shape (..., cells + 1), whose
+        last column is the True sentinel."""
+        return self._ev_rank[ranked.argmax(axis=-1)]
+
     def evalues(self, masks) -> np.ndarray:
         """Exact e-values (closed lower cut) of a stack of cell-subset
         hypotheses, shape (..., *grid shape) -> (...); an empty subset
@@ -161,7 +166,9 @@ class GridModel:
         if masks.shape[-2:] != self.surprise.shape:
             raise ValueError("masks must end in the grid's shape")
         flat = masks.reshape(masks.shape[:-2] + (self.cells,))
-        return self._cum[(flat * self._cut).max(axis=-1)]
+        ranked = np.ones(flat.shape[:-1] + (self.cells + 1,), dtype=bool)
+        ranked[..., :-1] = flat[..., self._rank]
+        return self._ranked_evalues(ranked)
 
     def evalue(self, mask: np.ndarray) -> float:
         """Exact e-value of one cell-subset hypothesis."""
@@ -169,7 +176,7 @@ class GridModel:
 
     def decide(self, mask: np.ndarray, c: float, rule: str = "gfbst") -> Decision:
         mask = np.asarray(mask, dtype=bool)
-        ev_h, ev_hbar = self.evalue(mask), self.evalue(~mask)
+        ev_h, ev_hbar = self.evalues(np.stack([mask, ~mask])).tolist()
         return Decision(float(decision_values(ev_h, ev_hbar, c, rule)), c, ev_h, ev_hbar)
 
     def upper_cut(self, level: float) -> np.ndarray:
@@ -194,22 +201,37 @@ CHECKS = (
 _COLUMNS = {name: [j for j, (cond, _) in enumerate(CHECKS) if cond == name] for name in CONDITIONS}
 
 
-def _draw_masks(grid: GridModel, rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill each row of the (rows, cells) bool block `out` with a proper
-    non-empty subset whose size is log-uniform in [1, cells - 1]."""
+def _draw_masks(
+    grid: GridModel, shapes: np.random.Generator, keys: np.random.Generator, out: np.ndarray
+) -> None:
+    """Fill `out`, a bool block (..., cells) in rank order, with masks of
+    proper non-empty subsets, one mask per row in C order.
+
+    Each mask reads two uniforms u from `shapes`: its size is log-uniform in
+    [1, cells - 1] and its kind is int(3 u[1]).  Kind 0 reads `cells`
+    uniform keys from `keys`, one per cell in cell order, and holds the
+    cells with the `size` smallest keys; kind 1 holds the `size`
+    lowest-surprise cells (rejectable hypotheses) and kind 2 the `size`
+    highest (their complements become rejectable).  Both streams are read
+    one mask at a time, so the masks do not depend on how rows are blocked.
+    """
     n = grid.cells
-    log_span = np.log(n - 1)
-    out[:] = False
-    for row in out:
-        size = int(np.exp(rng.uniform(0.0, log_span)))
-        size = min(max(size, 1), n - 1)
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            row[rng.choice(n, size=size, replace=False)] = True
-        elif kind == 1:  # low-surprise cells: rejectable hypotheses
-            row[grid._order[:size]] = True
-        else:  # high-surprise cells: complements become rejectable
-            row[grid._order[-size:]] = True
+    ranks = np.arange(n, dtype=np.min_scalar_type(n))  # the smallest type compares fastest
+    u = shapes.random(out.shape[:-1] + (2,))
+    size = np.clip(np.exp(u[..., 0] * np.log(n - 1)).astype(np.intp), 1, n - 1).astype(ranks.dtype)
+    kind = (3.0 * u[..., 1]).astype(np.intp)
+    np.less(ranks, size[..., None], out=out)  # kind 2: a prefix of the ranks
+    low = kind == 1
+    out[low] = ranks >= n - size[low, None]  # kind 1: a suffix
+    pick = kind == 0
+    k = keys.random((int(pick.sum()), n))
+    want = size[pick]
+    chosen = k <= np.sort(k, axis=1)[np.arange(len(k)), want - 1, None]
+    # keys tied at the cut: the `size` smallest, in cell order
+    for row in np.flatnonzero(chosen.sum(axis=1) != want):
+        chosen[row] = False
+        chosen[row, np.argsort(k[row], kind="stable")[: want[row]]] = True
+    out[pick] = chosen[:, grid._rank]
 
 
 def _checks(evs: np.ndarray, dec: np.ndarray) -> np.ndarray:
@@ -251,24 +273,35 @@ def check_logical_properties(
 
     Each trial draws masks A, B and E, in that order, and forms the family
     A, B, A' = A | E, A | B and A & B; each member is decided with its
-    complement.  Compatibility is checked in its strict form, ev(H1) > ev(H2)
-    implies decision(H1) >= decision(H2); ties at ev = 1 are uninformative
-    for region-estimator tests.  A condition's witness is its first
+    complement.  The masks come from two streams spawned from `seed`: mask
+    sizes and kinds from the first, random subsets' keys from the second
+    (see `_draw_masks`).  They are drawn BLOCK trials at a time and kept in
+    the grid's descending-surprise rank order, where each e-value is one
+    lookup; each stream is read one mask at a time, so the report does not
+    depend on BLOCK.  Compatibility is checked in its strict form,
+    ev(H1) > ev(H2) implies decision(H1) >= decision(H2); ties at ev = 1 are
+    uninformative for region-estimator tests.  A condition's witness is its first
     violation, by trial and then in CHECKS order, and the witnesses are
     listed in the order they were found.
     """
-    rng = np.random.default_rng(seed)
+    shapes, keys = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     counts = {name: 0 for name in CONDITIONS}
     first: dict = {}  # condition -> (trial, column of CHECKS)
-    block = np.empty((min(BLOCK, trials) * 3, grid.cells), dtype=bool)
+    n = grid.cells
+    # (trial, member, [member, complement], rank), each a mask in rank order
+    # followed by the True sentinel column of GridModel._ranked_evalues
+    block = np.ones((min(BLOCK, trials), len(FAMILY), 2, n + 1), dtype=bool)
     for start in range(0, trials, BLOCK):
         count = min(BLOCK, trials - start)
-        drawn = block[: count * 3]
-        _draw_masks(grid, rng, drawn)
-        a, b, extra = drawn.reshape((count, 3) + grid.masses.shape).swapaxes(0, 1)
-        family = np.stack([a, b, a | extra, a | b, a & b], axis=1)
-        # (trial, member, [member, complement]); each is the other's complement
-        evs = grid.evalues(np.stack([family, ~family], axis=2))
+        family = block[:count]
+        a, b, a_prime, union, inter = family[:, :, 0, :n].swapaxes(0, 1)
+        # A, B, and E in the slot of A'
+        _draw_masks(grid, shapes, keys, family[:, :3, 0, :n])
+        np.logical_or(a, b, out=union)
+        np.logical_and(a, b, out=inter)
+        np.logical_or(a_prime, a, out=a_prime)
+        np.logical_not(family[:, :, 0, :n], out=family[:, :, 1, :n])
+        evs = grid._ranked_evalues(family)
         hits = _checks(evs, decision_values(evs, evs[..., ::-1], c, rule))
         for name, cols in _COLUMNS.items():
             sub = hits[:, cols]

@@ -373,16 +373,11 @@ def _ess_initial_positive(series: np.ndarray) -> float:
     f = np.fft.rfft(x, nfft)
     acov = np.fft.irfft(f * np.conjugate(f), nfft)[:n].real / n
     rho = acov / acov[0]
-    # sum consecutive lag pairs while positive
-    tau = 1.0
-    k = 1
-    while k + 1 < n:
-        pair = rho[k] + rho[k + 1]
-        if pair <= 0.0:
-            break
-        tau += 2.0 * pair
-        k += 2
-    return n / tau
+    # sum consecutive lag pairs while positive, in sequence as cumsum adds
+    pairs = rho[1 : n - 1 : 2] + rho[2:n:2]
+    ends = np.flatnonzero(pairs <= 0.0)
+    tau = np.cumsum(np.concatenate(([1.0], 2.0 * pairs)))[ends[0] if ends.size else -1]
+    return n / float(tau)
 
 
 def effective_sample_size(sample: SurpriseSample) -> float:

@@ -53,14 +53,27 @@ def _reference_decide(grid, mask, c, rule):
     raise ValueError(f"unknown decision rule {rule!r}")
 
 
-def _reference_random_mask(grid, rng):
+def _reference_cut_evalues(grid, masks):
+    """e-values as first computed, in cell order: the cumulative mass up to
+    the largest closed-lower-cut size among the mask's cells."""
+    order = np.argsort(grid.surprise, axis=None)
+    sorted_s = grid.surprise.ravel()[order]
+    cut = np.searchsorted(sorted_s, grid.surprise.ravel(), "right")
+    cum = np.concatenate(([0.0], np.cumsum(grid.masses.ravel()[order])))
+    flat = np.asarray(masks, dtype=bool).reshape(np.shape(masks)[:-2] + (grid.cells,))
+    return cum[(flat * cut).max(axis=-1)]
+
+
+def _reference_random_mask(grid, shapes, keys):
+    """One mask at a time, in cell order: size and kind from two uniforms
+    of `shapes`; a random mask holds the cells with the smallest keys."""
     n = grid.cells
-    size = int(np.exp(rng.uniform(0.0, np.log(n - 1))))
-    size = min(max(size, 1), n - 1)
-    kind = rng.integers(0, 3)
+    u0, u1 = shapes.random(2)
+    size = min(max(int(np.exp(u0 * np.log(n - 1))), 1), n - 1)
+    kind = int(3 * u1)
     flat_order = np.argsort(grid.surprise, axis=None)
     if kind == 0:
-        idx = rng.choice(n, size=size, replace=False)
+        idx = np.argsort(keys.random(n), kind="stable")[:size]
     elif kind == 1:
         idx = flat_order[:size]
     else:
@@ -70,10 +83,14 @@ def _reference_random_mask(grid, rng):
     return mask.reshape(grid.masses.shape)
 
 
+def _streams(seed):
+    return list(map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2)))
+
+
 def _reference_check_logical_properties(grid, trials, c=0.05, seed=0, rule="gfbst"):
     """The harness as first written: one trial at a time, each hypothesis
     decided on its own.  check_logical_properties must return its report."""
-    rng = np.random.default_rng(seed)
+    shapes, keys = _streams(seed)
     counts = {name: 0 for name in CONDITIONS}
     witnesses: dict = {}
 
@@ -82,9 +99,9 @@ def _reference_check_logical_properties(grid, trials, c=0.05, seed=0, rule="gfbs
         witnesses.setdefault(name, payload)
 
     for trial in range(trials):
-        a = _reference_random_mask(grid, rng)
-        b = _reference_random_mask(grid, rng)
-        extra = _reference_random_mask(grid, rng)
+        a = _reference_random_mask(grid, shapes, keys)
+        b = _reference_random_mask(grid, shapes, keys)
+        extra = _reference_random_mask(grid, shapes, keys)
         family = {"A": a, "B": b, "A'": a | extra, "A|B": a | b, "A&B": a & b}
         decisions, evs = {}, {}
         for name, mask in family.items():
@@ -295,6 +312,23 @@ class TestGridModel:
         with pytest.raises(ValueError):
             g.evalues(np.ones((3, 36), bool))
 
+    @pytest.mark.parametrize("n", [4, 10, 20])
+    def test_evalues_bitwise_equal_to_cut_reference(self, n):
+        # rank-order lookup against the cell-order cut products, on tied
+        # and untied surprise values, with empty, full and tied-level masks
+        rng = np.random.default_rng(n)
+        for surprise in (rng.integers(0, 6, (n, n)).astype(float), rng.random((n, n))):
+            g = GridModel(rng.random((n, n)), surprise)
+            masks = rng.random((60, n, n)) < rng.uniform(0.0, 0.6, size=(60, 1, 1))
+            masks[0], masks[1], masks[2] = False, True, surprise == surprise.max()
+            masks[3] = surprise == np.median(surprise)
+            want = _reference_cut_evalues(g, masks)
+            assert g.evalues(masks).tobytes() == want.tobytes()
+            assert [g.evalue(m) for m in masks] == want.tolist()
+            for mask in masks[:10]:
+                d = g.decide(mask, 0.05)
+                assert (d.ev_h, d.ev_hbar) == (g.evalue(mask), g.evalue(~mask))
+
     def test_nan_surprise_rejected(self):
         with pytest.raises(ValueError):
             GridModel(np.ones((2, 2)), np.array([[0.0, np.nan], [1.0, 2.0]]))
@@ -338,15 +372,64 @@ class TestLogicalHarness:
 
     @pytest.mark.parametrize("n", [2, 4, 10, 20])
     def test_block_masks_are_the_reference_draws(self, n):
-        # a block left dirty by the previous one, and the same stream after it
+        # a block left dirty by the previous one, and the same streams after it
         for seed in range(5):
             grid = GridModel.random(n, np.random.default_rng(seed + 10))
-            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            block = np.ones((300, grid.cells), dtype=bool)
-            _draw_masks(grid, got_rng, block)
-            want = [_reference_random_mask(grid, want_rng) for _ in range(300)]
-            assert np.array_equal(block.reshape((300,) + grid.masses.shape), want)
-            assert got_rng.random() == want_rng.random()
+            got_streams, want_streams = _streams(seed), _streams(seed)
+            block = np.ones((100, 3, grid.cells), dtype=bool)
+            _draw_masks(grid, *got_streams, block)
+            want = [_reference_random_mask(grid, *want_streams) for _ in range(300)]
+            want = np.reshape(want, (100, 3, grid.cells))[..., grid._rank]
+            assert np.array_equal(block, want)
+            for got_rng, want_rng in zip(got_streams, want_streams):
+                assert got_rng.random() == want_rng.random()
+
+    def test_tied_keys_take_the_first_cells(self):
+        # keys on a coarse lattice tie at the cut; the mask still holds
+        # exactly `size` cells, those of the reference's stable argsort
+        class CoarseKeys:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def random(self, size):
+                return np.floor(self.rng.random(size) * 3) / 3
+
+        grid = GridModel.random(6, np.random.default_rng(4))
+        shapes = _streams(1)[0]
+        block = np.zeros((200, grid.cells), dtype=bool)
+        _draw_masks(grid, shapes, CoarseKeys(2), block)
+        shapes, keys = _streams(1)[0], CoarseKeys(2)
+        want = [_reference_random_mask(grid, shapes, keys).ravel()[grid._rank] for _ in range(200)]
+        assert np.array_equal(block, want)
+
+    def test_masks_have_their_drawn_sizes(self):
+        # ties in the surprise values; kind 1 is a suffix of the ranks and
+        # kind 2 a prefix, and a random mask holds exactly its size
+        rng = np.random.default_rng(3)
+        grid = GridModel(rng.random((12, 12)), rng.integers(0, 4, (12, 12)).astype(float))
+        n = grid.cells
+        block = np.zeros((3000, n), dtype=bool)
+        _draw_masks(grid, *_streams(9), block)
+        u = _streams(9)[0].random((3000, 2))
+        size = np.clip(np.exp(u[:, 0] * np.log(n - 1)).astype(int), 1, n - 1)
+        kind = (3 * u[:, 1]).astype(int)
+        assert set(kind) == {0, 1, 2}
+        assert np.array_equal(block.sum(axis=1), size)
+        ranks = np.arange(n)
+        assert np.array_equal(block[kind == 1], ranks >= n - size[kind == 1, None])
+        assert np.array_equal(block[kind == 2], ranks < size[kind == 2, None])
+
+    @pytest.mark.parametrize("rule", ["gfbst", "broken-negative-control"])
+    def test_report_does_not_depend_on_block(self, monkeypatch, rule):
+        import fbst.gfbst
+
+        grid = GridModel.random(10, np.random.default_rng(2))
+        reports = []
+        for block in (1, 7, 128):
+            monkeypatch.setattr(fbst.gfbst, "BLOCK", block)
+            reports.append(check_logical_properties(grid, 300, 0.05, 6, rule))
+        assert reports[0] == reports[1] == reports[2]
+        assert list(reports[0]["witnesses"]) == list(reports[2]["witnesses"])
 
     def test_witnesses_of_every_condition(self, monkeypatch):
         import fbst.gfbst

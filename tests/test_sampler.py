@@ -23,6 +23,7 @@ from fbst.sampler import (
     DegenerateSeriesError,
     InitializationError,
     SamplerStuckError,
+    _ess_initial_positive,
     _initial_point,
 )
 
@@ -127,6 +128,37 @@ def _manual_sample(values, seed=0):
         acceptance_rates=np.array([1.0]),
         config=cfg,
     )
+
+
+def _reference_ess_initial_positive(series):
+    """Geyer's initial positive sequence as first written: lag pairs added
+    one at a time while positive."""
+    n = series.size
+    x = series - series.mean()
+    nfft = 1
+    while nfft < 2 * n:
+        nfft *= 2
+    f = np.fft.rfft(x, nfft)
+    acov = np.fft.irfft(f * np.conjugate(f), nfft)[:n].real / n
+    rho = acov / acov[0]
+    tau = 1.0
+    k = 1
+    while k + 1 < n:
+        pair = rho[k] + rho[k + 1]
+        if pair <= 0.0:
+            break
+        tau += 2.0 * pair
+        k += 2
+    return n / tau, k
+
+
+def _ar1(rho, n, seed):
+    eps = np.random.default_rng(seed).standard_normal(n)
+    out = np.empty(n)
+    out[0] = eps[0]
+    for i in range(1, n):
+        out[i] = rho * out[i - 1] + eps[i]
+    return out
 
 
 class TestSamplePosterior:
@@ -364,6 +396,20 @@ class TestRandomnessMemory:
 
 
 class TestEffectiveSampleSize:
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5, 0.95])
+    @pytest.mark.parametrize("n", [999, 1000, 4097])
+    def test_same_as_pair_loop(self, rho, n):
+        series = _ar1(rho, n, seed=int(100 * rho) + n)
+        assert _ess_initial_positive(series) == _reference_ess_initial_positive(series)[0]
+
+    @pytest.mark.parametrize("n", [3, 4, 501, 502])
+    def test_first_pair_not_positive(self, n):
+        # an alternating series: rho[1] + rho[2] < 0 stops the sum at once
+        series = np.where(np.arange(n) % 2, 1.0, -1.0) + 0.1 * _ar1(0.0, n, seed=n)
+        ess, k = _reference_ess_initial_positive(series)
+        assert k == 1 and ess == n
+        assert _ess_initial_positive(series) == ess
+
     def test_iid_series(self):
         rng = np.random.default_rng(0)
         s = _manual_sample(rng.standard_normal(4000))
