@@ -90,8 +90,7 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def cmd_ev(args) -> int:
-    started = time.monotonic()
+def cmd_ev(args) -> tuple:
     _resolve_seed(args)
     with open(args.spec) as fh:
         spec = json.load(fh)
@@ -109,13 +108,10 @@ def cmd_ev(args) -> int:
         payload["ev_complement"] = float(eval_truth(ladder, comp.log_s_star))
         decision = gfbst_decide(report.ev, payload["ev_complement"], args.threshold)
         payload["decision"] = {0.0: "reject", 0.5: "agnostic", 1.0: "accept"}[decision.value]
-    payload["manifest"] = _manifest("ev", args, started)
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_select(args) -> int:
-    started = time.monotonic()
+def cmd_select(args) -> tuple:
     if args.builtin is None and args.data is None:
         raise SpecError("select needs --data or --builtin sakamoto")
     if args.builtin is not None and args.builtin != "sakamoto":
@@ -135,7 +131,6 @@ def cmd_select(args) -> int:
         sampler_cfg=cfg,
         n_max=args.nmax,
     )
-    report["manifest"] = _manifest("select", args, started)
     if args.csv:
         rows = report["rows"]
         header = list(rows[0].keys())
@@ -148,12 +143,10 @@ def cmd_select(args) -> int:
         names = list(curves)
         body = np.column_stack([curves[n] for n in names])
         np.savetxt(args.emit_plot, body, delimiter=",", header=",".join(names), comments="")
-    _emit(report, args.out)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_verify_logic(args) -> int:
-    started = time.monotonic()
+def cmd_verify_logic(args) -> tuple:
     _resolve_seed(args)
     if args.grid < 4:
         raise SpecError("grid must be at least 4x4")
@@ -162,29 +155,23 @@ def cmd_verify_logic(args) -> int:
     report = check_logical_properties(
         grid, args.trials, c=args.threshold, seed=args.seed, rule=args.rule
     )
-    report["manifest"] = _manifest("verify-logic", args, started)
-    _emit(report, args.out)
-    return EXIT_OK if report["total_violations"] == 0 else EXIT_LOGIC
+    return report, EXIT_OK if report["total_violations"] == 0 else EXIT_LOGIC
 
 
-def cmd_compose(args) -> int:
-    started = time.monotonic()
+def cmd_compose(args) -> tuple:
     _resolve_seed(args)
     with open(args.spec) as fh:
         spec = json.load(fh)
     cfg = _sampler_config(args)
     structure, ev = analyze_network(spec, cfg, args.nmax)
-    payload = {
+    return {
         "ev": ev,
         "components": structure.k,
         "disjuncts": structure.q,
         "log_s_star": [
             [None if np.isnan(v) else v for v in row] for row in structure.log_s_star
         ],
-        "manifest": _manifest("compose", args, started),
-    }
-    _emit(payload, args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,8 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.fn(args)
+        payload, code = args.fn(args)
+        payload["manifest"] = _manifest(args.command, args, started)
+        _emit(payload, args.out)
+        return code
     except InfeasibleHypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

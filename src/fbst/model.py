@@ -91,7 +91,9 @@ class StatisticalModel:
     a kernel must be pure: no side effects, and no dependence on earlier
     calls.  `proposal_chol` is any factor C with C C' equal to the proposal
     covariance, not necessarily a lower-triangular Cholesky factor; the
-    polynomial regression's is upper triangular.
+    polynomial regression's is upper triangular.  `mode` is where the
+    sampler's chains and the optimizer's last start begin; it is the exact
+    maximizer of the surprise only for the built-in families (`exact_mode`).
     """
 
     space: ParameterSpace
@@ -420,6 +422,36 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
             "n": n,
         },
     )
+
+
+def exact_mode(model: StatisticalModel, A=None, b=0.0) -> Optional[np.ndarray]:
+    """A built-in family's surprise maximizer over Theta when A is None, or
+    over A theta = b (A 2-D, of full row rank) where the family has a closed
+    form; None everywhere else.  A generic model's `mode` is only a start.
+
+    A polynomial regression under A theta = b with A's log_sigma column zero
+    (A beta = b on the beta block):
+    beta_tilde = beta_hat - (X'X)^-1 A' (A (X'X)^-1 A')^-1 (A beta_hat - b)
+    projects beta_hat onto the constraints in the X'X metric, and sigma_tilde
+    maximizes the profile of the posterior exponent.  Raises ValueError when
+    A (X'X)^-1 A' is singular.
+    """
+    if A is None:
+        return model.mode if model.family in ("gaussian-mean", "polynomial-regression") else None
+    if model.family != "polynomial-regression" or A[:, -1].any():
+        return None
+    A = A[:, :-1]
+    ex = model.extra
+    XtX_inv, beta_hat = ex["XtX_inv"], ex["beta_hat"]
+    n, k, s2 = ex["n"], ex["k"], ex["s2"]
+    M = A @ XtX_inv @ A.T
+    if np.linalg.matrix_rank(M) < len(A):
+        raise ValueError("degenerate constraint direction")
+    beta_tilde = beta_hat - XtX_inv @ A.T @ np.linalg.solve(M, A @ beta_hat - b)
+    diff = beta_tilde - beta_hat
+    quad = float(diff @ ex["XtX"] @ diff)
+    sigma2 = ((n - k) * s2 + quad) / (n + 1)
+    return np.concatenate([beta_tilde, [0.5 * math.log(sigma2)]])
 
 
 # ---------------------------------------------------------------------------

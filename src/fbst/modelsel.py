@@ -105,18 +105,7 @@ class SelectionRow:
         return getattr(self, f"r_{criterion}")
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "d": self.d,
-            "r_emp": self.r_emp,
-            "r_fpe": self.r_fpe,
-            "r_sbc": self.r_sbc,
-            "r_gcv": self.r_gcv,
-            "r_sms": self.r_sms,
-            "aic": self.aic,
-            "ev": self.ev,
-            "sev": self.sev,
-        }
+        return {"order": self.order, "d": self.d, **dataclasses.asdict(self)}
 
 
 def evalue_top_coefficient(
@@ -152,16 +141,8 @@ def selection_table(
     rows = []
     for k in range(k_max + 1):
         r_emp = empirical_error(data, k)
-        d = k + 2
-        rows.append(SelectionRow(
-            order=k,
-            r_emp=r_emp,
-            r_fpe=r_emp * penalty_factor("fpe", d, n),
-            r_sbc=r_emp * penalty_factor("sbc", d, n),
-            r_gcv=r_emp * penalty_factor("gcv", d, n),
-            r_sms=r_emp * penalty_factor("sms", d, n),
-            aic=aic(data, k),
-        ))
+        penalized = {f"r_{c}": r_emp * penalty_factor(c, k + 2, n) for c in CRITERIA}
+        rows.append(SelectionRow(order=k, r_emp=r_emp, **penalized, aic=aic(data, k)))
     if with_evalues:
         base = sampler_cfg or SamplerConfig()
         for row in rows:

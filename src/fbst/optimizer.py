@@ -5,11 +5,12 @@ s* = sup over H of the surprise, found by the first rule that applies:
 - exact feasibility: when every equality is affine (`linear_equalities`),
   `np.linalg.lstsq` on A theta = b checks the system; an inconsistent one
   raises InfeasibleHypothesisError at once, and redundant rows are dropped;
-- mode in H: a built-in family's exact mode is the answer when H has no
-  equalities and contains it, since sup_H s <= sup_Theta s = s(mode);
-- affine closed forms: equalities that pin one point, and any consistent
-  A beta = b on a polynomial regression's beta block (beta_hat projected in
-  the X'X metric, sigma from the profile of the posterior exponent);
+- mode in H: when H has no equalities and contains the maximizer over
+  Theta that `fbst.model.exact_mode` gives for a built-in family, that is
+  the answer, since sup_H s <= sup_Theta s = s(mode);
+- affine closed forms: equalities that pin one point, and otherwise the
+  maximizer over A theta = b that `exact_mode` gives where the family has
+  one (any consistent A beta = b on a polynomial regression's beta block);
 - everything else: scipy's SLSQP from the best posterior draws and the
   model's mode, within the space's bounds, on each piece of `H.closure()`
   (for a complement, Theta or one {g_i >= 0} per inequality); the best end
@@ -35,6 +36,7 @@ from .model import (
     InfeasibleHypothesisError,
     StatisticalModel,
     affine_hypothesis,
+    exact_mode,
     log_surprise,
 )
 from .sampler import SurpriseSample
@@ -48,8 +50,6 @@ SLSQP_OPTIONS = {"ftol": 1e-12, "maxiter": 500}
 WALL = 1e10
 # scipy's SLSQP default difference step, sqrt of the float64 epsilon
 STEP = math.sqrt(np.finfo(float).eps)
-# families whose `mode` is the exact maximizer of the surprise
-EXACT_MODE_FAMILIES = ("gaussian-mean", "polynomial-regression")
 
 
 class UnboundedSurpriseError(RuntimeError):
@@ -110,35 +110,17 @@ def _finish(model, H, theta, method, restarts=0) -> Optimum:
 # ---------------------------------------------------------------------------
 
 
-def _regression_mode_on(model: StatisticalModel, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Surprise maximizer of a polynomial regression under A beta = b
-    (A of full row rank)."""
-    ex = model.extra
-    XtX_inv, beta_hat = ex["XtX_inv"], ex["beta_hat"]
-    n, k, s2 = ex["n"], ex["k"], ex["s2"]
-    M = A @ XtX_inv @ A.T
-    if np.linalg.matrix_rank(M) < len(A):
-        raise ValueError("degenerate constraint direction")
-    beta_tilde = beta_hat - XtX_inv @ A.T @ np.linalg.solve(M, A @ beta_hat - b)
-    diff = beta_tilde - beta_hat
-    quad = float(diff @ ex["XtX"] @ diff)
-    sigma2 = ((n - k) * s2 + quad) / (n + 1)
-    return np.concatenate([beta_tilde, [0.5 * math.log(sigma2)]])
-
-
 def closed_form_constrained_mode(model: StatisticalModel, A, b=0.0) -> Optimum:
     """Constrained surprise maximizer of a polynomial-regression model under
-    the linear equalities A beta = b; one row `a` gives a . beta = b.
-
-    beta_tilde = beta_hat - (X'X)^-1 A' (A (X'X)^-1 A')^-1 (A beta_hat - b)
-    projects beta_hat onto the constraints in the X'X metric; sigma_tilde
-    maximizes the profile of the posterior exponent.
+    the linear equalities A beta = b; one row `a` gives a . beta = b.  The
+    closed form is `fbst.model.exact_mode`'s.
     """
-    if model.family != "polynomial-regression":
-        raise ValueError("closed form requires the polynomial-regression family")
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    H = affine_hypothesis(np.column_stack([A, np.zeros(len(A))]), b, "A.beta=b")
-    return _finish(model, H, _regression_mode_on(model, A, b), "closed-form")
+    A = np.column_stack([A, np.zeros(len(A))])
+    theta = exact_mode(model, A, b)
+    if theta is None:
+        raise ValueError("closed form requires the polynomial-regression family")
+    return _finish(model, affine_hypothesis(A, b, "A.beta=b"), theta, "closed-form")
 
 
 def _affine_system(H: Hypothesis):
@@ -163,9 +145,9 @@ def _affine_system(H: Hypothesis):
 
 
 def _exact_optimum(model: StatisticalModel, H: Hypothesis, affine) -> Optional[np.ndarray]:
-    mode = model.mode if model.family in EXACT_MODE_FAMILIES else None
-    if mode is not None and not H.equalities and bool(H.contains(mode)):
-        return np.array(mode, dtype=float)
+    if not H.equalities:
+        mode = exact_mode(model)
+        return None if mode is None or not H.contains(mode) else np.array(mode, dtype=float)
     if affine is None or H.inequalities:
         return None
     A, b, _ = affine
@@ -175,9 +157,7 @@ def _exact_optimum(model: StatisticalModel, H: Hypothesis, affine) -> Optional[n
         if not model.space.contains(theta):
             raise InfeasibleHypothesisError("pinned point outside parameter bounds")
         return theta
-    if model.family == "polynomial-regression" and not A[:, -1].any():
-        return _regression_mode_on(model, A[:, :-1], b)
-    return None
+    return exact_mode(model, A, b)
 
 
 # ---------------------------------------------------------------------------

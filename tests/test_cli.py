@@ -190,7 +190,7 @@ class TestSelect:
         )
         assert code == 0
         table = csv.read_text().splitlines()
-        assert table[0].startswith("order,")
+        assert table[0] == "order,d,r_emp,r_fpe,r_sbc,r_gcv,r_sms,aic,ev,sev"
         assert len(table) == 5
         curves = np.loadtxt(plot, delimiter=",", skiprows=1)
         assert curves.shape[1] == 6  # x, target, orders 0-3
@@ -282,3 +282,32 @@ class TestCompose:
     def test_malformed_network_exits_2(self, tmp_path, capsys):
         net = write_spec(tmp_path, {"serial": []}, name="bad.json")
         assert main(["compose", net, "--seed", "0"]) == 2
+
+
+NET_SPEC = {
+    "serial": [{"family": "gaussian-mean", "mean": 1.0, "variance": 1.0}],
+    "disjuncts": [[{"equalities": ["theta"]}]],
+}
+
+
+@pytest.mark.parametrize("argv, want_code", [
+    (["select", "--builtin", "sakamoto", "--kmax", "3"], 0),
+    (["verify-logic", "--grid", "10", "--trials", "100", "--seed", "0"], 0),
+    (["verify-logic", "--grid", "10", "--trials", "100", "--seed", "0",
+      "--rule", "broken-negative-control"], 1),
+    (["compose", "NET", "--seed", "0"] + FAST, 0),
+])
+def test_out_file_holds_what_stdout_prints(tmp_path, capsys, argv, want_code):
+    argv = [write_spec(tmp_path, NET_SPEC) if a == "NET" else a for a in argv]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == want_code
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    assert json.loads(printed)["manifest"]["command"] == argv[0]
+
+
+def test_unwritable_out_file_exits_2_with_empty_stdout(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["verify-logic", "--grid", "4", "--trials", "10", "--seed", "0",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""

@@ -18,12 +18,14 @@ from fbst import (
     hypothesis_from_spec,
     log_surprise,
     make_gaussian_mean_model,
+    make_polynomial_regression_model,
     maximize_surprise,
     model_from_spec,
     point_hypothesis,
     sample_posterior,
 )
 from fbst import optimizer
+from fbst.model import exact_mode, unbounded_space
 from fbst.optimizer import SLSQP_OPTIONS, STEP, WALL, _slsqp, _surprise_at
 
 SMALL_CFG = OptimizerConfig(restarts=8, outer_iterations=6)
@@ -83,6 +85,63 @@ class TestClosedForm:
         opt = maximize_surprise(reg2_model, H, reg2_sample)
         assert opt.method == "closed-form"
         assert abs(opt.theta_star[2]) < 1e-12
+
+
+def _regression_mode_on(model, A, b):
+    """The optimizer's former closed form, kept as the reference: surprise
+    maximizer of a polynomial regression under A beta = b (A of full row
+    rank)."""
+    ex = model.extra
+    XtX_inv, beta_hat = ex["XtX_inv"], ex["beta_hat"]
+    n, k, s2 = ex["n"], ex["k"], ex["s2"]
+    M = A @ XtX_inv @ A.T
+    if np.linalg.matrix_rank(M) < len(A):
+        raise ValueError("degenerate constraint direction")
+    beta_tilde = beta_hat - XtX_inv @ A.T @ np.linalg.solve(M, A @ beta_hat - b)
+    diff = beta_tilde - beta_hat
+    quad = float(diff @ ex["XtX"] @ diff)
+    sigma2 = ((n - k) * s2 + quad) / (n + 1)
+    return np.concatenate([beta_tilde, [0.5 * math.log(sigma2)]])
+
+
+class TestExactMode:
+    @pytest.mark.parametrize("k", range(6))
+    def test_top_coefficient_zero_equals_reference(self, table2, k):
+        model = make_polynomial_regression_model(table2, k)
+        A = np.eye(k + 2)[[k]]
+        want = _regression_mode_on(model, A[:, :-1], np.zeros(1))
+        assert np.array_equal(exact_mode(model, A, np.zeros(1)), want)
+        H = coordinate_zero_hypothesis(k, k + 2)
+        assert np.array_equal(maximize_surprise(model, H).theta_star, want)
+        assert np.array_equal(closed_form_constrained_mode(model, A[:, :-1]).theta_star, want)
+
+    def test_two_rows_equal_reference(self, table2):
+        model = make_polynomial_regression_model(table2, 3)
+        A = np.eye(5)[[2, 3]]
+        want = _regression_mode_on(model, A[:, :-1], np.zeros(2))
+        assert np.array_equal(exact_mode(model, A, np.zeros(2)), want)
+        assert np.array_equal(closed_form_constrained_mode(model, A[:, :-1]).theta_star, want)
+
+    def test_only_built_in_families_answer(self, gauss_model, reg2_model):
+        assert np.array_equal(exact_mode(gauss_model), [1.0])
+        assert np.array_equal(exact_mode(reg2_model), reg2_model.mode)
+        assert exact_mode(gauss_model, np.eye(1), np.zeros(1)) is None
+        # a constraint on log_sigma has no closed form
+        assert exact_mode(reg2_model, np.eye(4)[[3]], np.zeros(1)) is None
+
+    # a generic model's mode is a start, not an answer: the surprise peaks at u = 2
+    GENERIC = StatisticalModel(unbounded_space(("u",)),
+                               lambda th: -((np.asarray(th)[..., 0] - 2.0) ** 2) / 2.0,
+                               mode=np.array([0.0]))
+
+    @pytest.mark.parametrize("H", [Hypothesis(),
+                                   hypothesis_from_spec({"inequalities": ["u - 5"]}, ("u",))],
+                             ids=["theta", "u<=5"])
+    def test_generic_mode_is_a_start_not_an_answer(self, H):
+        assert exact_mode(self.GENERIC) is None
+        opt = maximize_surprise(self.GENERIC, H)
+        assert opt.method == "multistart"
+        assert opt.theta_star[0] == pytest.approx(2.0, abs=1e-6)
 
 
 class TestGenericPath:
