@@ -39,7 +39,7 @@ _BINOPS = {
 def compile_expression(text: str, names: Sequence[str]) -> Callable:
     """Compile `text` over coordinates `names` into f(theta) -> ndarray.
 
-    `theta` may be a vector of shape (d,) or a batch of shape (..., d).
+    `theta` has shape (d,) or (..., d); f returns shape theta.shape[:-1].
     """
     index = {name: i for i, name in enumerate(names)}
     try:
@@ -86,7 +86,10 @@ def compile_expression(text: str, names: Sequence[str]) -> Callable:
             return lambda theta: fn(arg(theta))
         raise ExpressionError(f"unsupported syntax in {text!r}")
 
-    return build(tree)
+    fn = build(tree)
+    if any(isinstance(node, ast.Name) and node.id in index for node in ast.walk(tree)):
+        return fn
+    return lambda theta: np.full(np.shape(theta)[:-1], fn(theta))
 
 
 def linear_coefficients(fn: Callable, dim: int, rng_seed: int = 0):

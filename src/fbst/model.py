@@ -94,6 +94,11 @@ class StatisticalModel:
     polynomial regression's is upper triangular.  `mode` is where the
     sampler's chains and the optimizer's last start begin; it is the exact
     maximizer of the surprise only for the built-in families (`exact_mode`).
+
+    The one evaluation rule, for one point or any batch: `log_kernel_safe`
+    is -inf outside the bounds and where the kernel is NaN or +inf, and
+    `log_surprise_safe` is kernel - reference where that is above -inf
+    (+inf where the reference is -inf) and -inf elsewhere.  Neither raises.
     """
 
     space: ParameterSpace
@@ -105,45 +110,49 @@ class StatisticalModel:
     extra: dict = field(default_factory=dict)
 
     def log_kernel_safe(self, theta) -> np.ndarray:
-        """Kernel evaluation with -inf outside the bounds (no error)."""
+        """The rule's log-kernel; log(0) and NaN are values here, so numpy
+        does not warn of them (an overflow still warns)."""
         theta = np.asarray(theta, dtype=float)
-        inside = self.space.contains(theta)
-        out = np.full(np.shape(inside), -np.inf, dtype=float)
-        if np.ndim(inside) == 0:
-            if inside:
-                val = self.log_kernel(theta)
-                out = np.asarray(val, dtype=float)
-                if not np.isfinite(out) and out != -np.inf:
-                    out = np.array(-np.inf)
-            return out[()] if out.ndim == 0 else out
-        if inside.any():
-            vals = np.asarray(self.log_kernel(theta[inside]), dtype=float)
-            vals[~np.isfinite(vals)] = -np.inf
-            out[inside] = vals
-        return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = _on_rows(self.space.contains(theta), self.log_kernel, theta, -np.inf)
+        return np.where(np.isfinite(vals), vals, -np.inf)[()]
+
+    def log_surprise_safe(self, theta) -> np.ndarray:
+        """The rule's log s; the reference is evaluated only where the
+        kernel is above -inf."""
+        theta = np.asarray(theta, dtype=float)
+        kern = self.log_kernel_safe(theta)
+        with np.errstate(divide="ignore"):
+            ref = _on_rows(kern > -np.inf, self.log_reference_at, theta, 0.0)
+        return (kern - ref)[()]
 
     def log_reference_at(self, theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
         if self.log_reference is None:
-            theta = np.asarray(theta, dtype=float)
             return np.zeros(theta.shape[:-1])
-        return np.asarray(self.log_reference(np.asarray(theta, dtype=float)), dtype=float)
+        return np.asarray(self.log_reference(theta), dtype=float)
+
+
+def _on_rows(live, fn, theta, fill) -> np.ndarray:
+    """fn at the rows of theta where `live` holds, `fill` elsewhere; fn gets
+    theta itself when all are live, so one point reaches it as one vector."""
+    if live.all():
+        return np.asarray(fn(theta), dtype=float)
+    out = np.full(live.shape, fill)
+    if live.any():
+        out[live] = fn(theta[live])
+    return out
 
 
 def log_surprise(model: StatisticalModel, theta) -> np.ndarray:
     """log of the surprise function s(theta) = p_n(theta) / r(theta).
 
-    Defined up to one model-wide additive constant; -inf wherever the
-    posterior kernel vanishes.  Raises DomainError outside the bounds.
+    Defined up to one model-wide additive constant; `log_surprise_safe`'s
+    values.  Raises DomainError outside the bounds.
     """
-    theta = np.asarray(theta, dtype=float)
     if not np.all(model.space.contains(theta)):
         raise DomainError("parameter vector outside the parameter-space bounds")
-    kern = np.asarray(model.log_kernel(theta), dtype=float)
-    kern = np.where(np.isfinite(kern) | (kern == -np.inf), kern, -np.inf)
-    ref = model.log_reference_at(theta)
-    with np.errstate(invalid="ignore"):
-        out = np.where(kern == -np.inf, -np.inf, kern - ref)
-    return out[()] if np.ndim(out) == 0 else out
+    return model.log_surprise_safe(theta)
 
 
 @dataclass(frozen=True)

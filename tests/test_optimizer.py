@@ -26,7 +26,7 @@ from fbst import (
 )
 from fbst import optimizer
 from fbst.model import exact_mode, unbounded_space
-from fbst.optimizer import SLSQP_OPTIONS, STEP, WALL, _slsqp, _surprise_at
+from fbst.optimizer import SLSQP_OPTIONS, STEP, WALL, UnboundedSurpriseError, _slsqp
 
 SMALL_CFG = OptimizerConfig(restarts=8, outer_iterations=6)
 C4_CFG = OptimizerConfig(restarts=4, outer_iterations=4)
@@ -201,6 +201,47 @@ class TestGenericPath:
             maximize_surprise(model, H)
 
 
+# the reference vanishes at a = 0 while the kernel does not: s = +inf there
+DIVERGENT_SPEC = {"family": "generic", "coordinates": ["a", "b"], "log_kernel": "-(a - 0.5)^2 - b^2",
+                  "log_reference": "log(a)", "bounds": [[0, 1], [None, None]]}
+
+
+class TestUnboundedSurprise:
+    def test_feasible_ray(self):
+        model, H = model_from_spec({"family": "generic", "coordinates": ["a", "b"],
+                                    "log_kernel": "a - b^2", "hypothesis": {"equalities": ["b"]}})
+        with pytest.raises(UnboundedSurpriseError, match="feasible ray"):
+            maximize_surprise(model, H, None, OptimizerConfig(restarts=0))
+
+    @pytest.fixture(scope="class")
+    def divergent_sample(self):
+        model = model_from_spec(DIVERGENT_SPEC)[0]
+        return model, sample_posterior(model, SamplerConfig(seed=0, chains=2, draws=1000, burnin=200))
+
+    @pytest.mark.parametrize("hypothesis", [{"equalities": ["a"]}, {"inequalities": ["a - 0.1"]}])
+    def test_infinite_surprise_is_the_supremum(self, divergent_sample, hypothesis):
+        # s = +inf is SLSQP's best value (-WALL), not a wall to walk away from
+        model, sample = divergent_sample
+        H = hypothesis_from_spec(hypothesis, model.space.names)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnboundedSurpriseError, match="diverges on the hypothesis set"):
+                maximize_surprise(model, H, sample)
+
+    def test_finite_supremum_away_from_the_pole(self, divergent_sample):
+        model, sample = divergent_sample
+        H = hypothesis_from_spec({"inequalities": ["0.3 - a"]}, model.space.names)
+        opt = maximize_surprise(model, H, sample)
+        assert opt.theta_star == pytest.approx([0.3, 0.0], abs=1e-6)
+        assert opt.log_s_star == pytest.approx(-0.04 - math.log(0.3), abs=1e-9)
+
+    def test_losses_map_infinities_to_the_walls(self, divergent_sample):
+        model, _ = divergent_sample
+        rows = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 0.0]])  # s = +inf, e^-0.25, outside
+        assert np.array_equal(optimizer._losses(model, rows), [-WALL, 0.25, WALL])
+        assert [optimizer._losses(model, row) for row in rows] == [-WALL, 0.25, WALL]
+
+
 class TestValidation:
     def test_closed_form_wrong_family(self, gauss_model):
         with pytest.raises(ValueError):
@@ -358,6 +399,15 @@ class TestGeneralPathCases:
         # the closure of the complement is the whole line: s* is the mode's
         opt = maximize_surprise(gauss_model, complement(point_hypothesis([1.0])))
         assert opt.log_s_star == pytest.approx(float(log_surprise(gauss_model, [1.0])), abs=1e-9)
+
+
+def _surprise_at(model, theta):
+    # the optimizer's former scalar evaluator, kept so that the reference
+    # below makes its own bounds test and WALL mapping, not `_losses`'
+    theta = np.asarray(theta, dtype=float)
+    if not model.space.contains(theta):
+        return -math.inf
+    return float(log_surprise(model, theta))
 
 
 def _reference_slsqp(model, sub, theta0, bounds):

@@ -255,6 +255,15 @@ class TestSamplePosterior:
         assert np.all((s.draws > 0.0) & (s.draws < 1.0))
         assert abs(s.draws.mean() - 8 / 22) < 0.05  # the mean of Beta(8, 14)
 
+    def test_constant_kernel_samples_the_box(self):
+        # every row of a round inside the bounds (parked chains, the rows
+        # past the chunk) still gives one kernel value a row
+        model, _ = model_from_spec({"family": "generic", "coordinates": ["a"],
+                                    "log_kernel": "0", "bounds": [[0, 1]]})
+        s = sample_posterior(model, SamplerConfig(seed=0, chains=2, draws=2_000, burnin=200))
+        assert np.all((s.draws >= 0.0) & (s.draws <= 1.0))
+        assert abs(s.draws.mean() - 0.5) < 0.05
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(draws=10)
