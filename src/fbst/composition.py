@@ -2,7 +2,9 @@
 conjunctive/disjunctive e-values over parallel-serial hypothesis networks.
 
 All arithmetic is carried in log space: products of surprise values become
-sums of log-supports, so k-fold products cannot underflow.
+sums of log-supports, so k-fold products cannot underflow. Composite
+e-values read the last convolution at their query points (`convolved_truth`)
+instead of building the joint ladder.
 """
 
 from __future__ import annotations
@@ -147,25 +149,94 @@ class CompositeStructure:
         return self.log_s_star.shape[0]
 
 
+def convolved_truth(ladders: Sequence[TruthLadder], log_v, n_max: int = 512) -> np.ndarray:
+    """W(v) of the k-fold Mellin convolution of `ladders` at each query v.
+
+    The balanced tree of `convolve_all` runs to its last level, where two
+    ladders are left, and those two are read at the queries, not
+    convolved: W(v) = sum_i m_i W_B(v - a_i) over the atoms (a_i, m_i) of
+    the left ladder, its masses normalized by their total as a convolved
+    ladder's are. Each side is first condensed to isqrt(DEFAULT_PAIR_BUDGET)
+    points, as `mellin_convolve` condenses it. W_B is read at the count of
+    b_j with fl(a_i + b_j) <= v, the pair sums that `mellin_convolve`
+    forms, found by a bisection on that predicate (`_pair_counts`). A
+    search of b for v - a_i, even with a check of its neighbours, can miss
+    such pairs: when b is tiny next to a, many b round a + b to a. So the
+    value is the final ladder's without its condensation to n_max: it lies
+    at or above `eval_truth(convolve_all(ladders, n_max), v)` and within
+    1/n_max of it. Against the uncondensed composition, the error is that
+    of the k ladders' own condensations and the k - 2 inner ones,
+    (2k - 2)/n_max, where the full joint ladder carries (2k - 1)/n_max.
+    One ladder is read by `eval_truth`; as there, +inf and NaN queries
+    read 1 and -inf queries 0.
+    """
+    v = np.atleast_1d(np.asarray(log_v, dtype=float))
+    k = len(ladders)
+    if k == 1:
+        return np.atleast_1d(eval_truth(ladders[0], v))
+    # the last level of convolve_all's tree: the first 2^m ladders
+    # (2^m < k <= 2^(m+1)) against the rest, each reduced by the same tree
+    half = 1 << ((k - 1).bit_length() - 1)
+    cap = max(2, int(math.isqrt(DEFAULT_PAIR_BUDGET)))
+    left = condense(convolve_all(ladders[:half], n_max), cap)
+    right = condense(convolve_all(ladders[half:], n_max), cap)
+    masses = left.atom_masses()
+    below = np.concatenate([[0.0], right.w])[_pair_counts(left.log_v, right.log_v, v)]
+    # a row that counts every pair sums the same terms as the total, in the
+    # same order, and so reads exactly 1
+    out = (below * masses).sum(axis=1) / (right.w[-1] * masses).sum()
+    # as eval_truth reads them
+    out[np.isposinf(v) | np.isnan(v)] = 1.0
+    out[np.isneginf(v)] = 0.0
+    return out
+
+
+def _pair_counts(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """count[q, i] = #{j : fl(a[i] + b[j]) <= v[q]} for an increasing b.
+
+    fl(a_i + b_j) is monotone in b_j, so the pairs counted are a prefix of
+    b. A branchless bisection on that predicate, one array step per bit
+    of b.size: each step adds a power of two to every count whose last
+    counted pair it would still include. b is padded with NaN, whose sums
+    compare False, so that no probe leaves the array."""
+    top = 1 << b.size.bit_length()
+    padded = np.full(top, np.nan)
+    padded[:b.size] = b
+    count = np.zeros((v.size, a.size), dtype=np.intp)
+    step = top >> 1
+    while step:
+        fits = padded[count + (step - 1)] + a <= v[:, None]
+        np.add(count, step, out=count, where=fits)
+        step >>= 1
+    return count
+
+
 def conjunctive_evalue(c: CompositeStructure, row: int = 0, n_max: int = 512) -> float:
-    """e-value of the conjunction in disjunct `row`: W(sum of log-optima)."""
+    """e-value of the conjunction in disjunct `row`: W(sum of log-optima).
+
+    `convolved_truth` reads the convolution's last tree level at the query
+    exactly, counting the pair sums fl(a_i + b_j) <= v by bisection (a
+    neighbour check after a search for v - a_i misses sums that round down
+    to v), so the error is (2k - 2)/n_max, not the joint ladder's
+    (2k - 1)/n_max."""
     grid = c.log_s_star[row]
     if np.any(np.isnan(grid)):
         raise MissingComponentError(f"row {row} has missing component optima")
-    joint = convolve_all(c.ladders, n_max)
-    return float(eval_truth(joint, float(np.sum(grid))))
+    return float(convolved_truth(c.ladders, np.sum(grid), n_max)[0])
 
 
 def disjunctive_evalue(c: CompositeStructure, n_max: int = 512) -> float:
-    """max over disjunct rows of the conjunctive e-values."""
-    joint = convolve_all(c.ladders, n_max)
+    """max over disjunct rows of the conjunctive e-values.
+
+    One `convolved_truth` call reads every row: the convolution's last tree
+    level is read exactly at each row's query, counting the pair sums
+    fl(a_i + b_j) <= v by bisection (a neighbour check after a search for
+    v - a_i misses sums that round down to v), so the error is
+    (2k - 2)/n_max, not the joint ladder's (2k - 1)/n_max."""
     # an unconstrained slot contributes the component's global supremum
     tops = np.array([lad.log_v[-1] for lad in c.ladders])
-    best = 0.0
-    for i in range(c.q):
-        grid = np.where(np.isnan(c.log_s_star[i]), tops, c.log_s_star[i])
-        best = max(best, float(eval_truth(joint, float(np.sum(grid)))))
-    return best
+    grid = np.where(np.isnan(c.log_s_star), tops, c.log_s_star)
+    return float(np.max(convolved_truth(c.ladders, grid.sum(axis=1), n_max)))
 
 
 # ---------------------------------------------------------------------------

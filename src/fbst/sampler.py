@@ -276,43 +276,46 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
         # They all start from the chain's current point, which holds while
         # it rejects, so each chain takes them up to its first acceptance or
         # its window's end; a parked chain's rows are zero moves.
-        while parked < chains:
-            batch = flat.take(next_row + ahead, axis=0)
-            proposal = current[:, None, :] + batch[..., :d]
-            prop_lk = np.asarray(kernel(proposal.reshape(-1, d)), dtype=float)
-            lks, log_u = prop_lk.reshape(chains, PREFETCH).tolist(), batch[..., d].tolist()
-            for c in range(chains):
-                p = pos[c]
-                lim = min(end[c] - p, PREFETCH)
-                if lim == 0:
-                    continue
-                lk, u, now = lks[c], log_u[c], cur_lk[c]
-                for j in range(lim):
-                    # now is finite, so NaN compares False; +inf is rejected
-                    if u[j] < lk[j] - now and lk[j] < math.inf:
-                        current[c] = proposal[c, j]
-                        cur_lk[c] = lk[j]
-                        accepted_at[c].append(p + j)
-                        accepted_lk[c].append(lk[j])
-                        block_acc[c] += 1
-                        p += j + 1
-                        break
-                else:
-                    p += lim
-                pos[c] = p
-                offset[c] = row_of[c] + p
-                if p < end[c]:
-                    continue
-                t = first + p
-                if t % block == 0 and t <= cfg.burnin:
-                    log_scale[c] += 0.6 * (block_acc[c] / block - target)
-                    block_acc[c] = 0
-                    scale = np.exp(log_scale)
-                    scale_moves(c, p)
-                if p == n:
-                    parked += 1
-                else:
-                    end[c] = _window_end(t, cfg.burnin, block, first + n) - first
+        # log(0) and NaN are kernel values here, on bounded and unbounded
+        # spaces alike: one errstate for the chunk, not one per round
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while parked < chains:
+                batch = flat.take(next_row + ahead, axis=0)
+                proposal = current[:, None, :] + batch[..., :d]
+                prop_lk = np.asarray(kernel(proposal.reshape(-1, d)), dtype=float)
+                lks, log_u = prop_lk.reshape(chains, PREFETCH).tolist(), batch[..., d].tolist()
+                for c in range(chains):
+                    p = pos[c]
+                    lim = min(end[c] - p, PREFETCH)
+                    if lim == 0:
+                        continue
+                    lk, u, now = lks[c], log_u[c], cur_lk[c]
+                    for j in range(lim):
+                        # now is finite, so NaN compares False; +inf is rejected
+                        if u[j] < lk[j] - now and lk[j] < math.inf:
+                            current[c] = proposal[c, j]
+                            cur_lk[c] = lk[j]
+                            accepted_at[c].append(p + j)
+                            accepted_lk[c].append(lk[j])
+                            block_acc[c] += 1
+                            p += j + 1
+                            break
+                    else:
+                        p += lim
+                    pos[c] = p
+                    offset[c] = row_of[c] + p
+                    if p < end[c]:
+                        continue
+                    t = first + p
+                    if t % block == 0 and t <= cfg.burnin:
+                        log_scale[c] += 0.6 * (block_acc[c] / block - target)
+                        block_acc[c] = 0
+                        scale = np.exp(log_scale)
+                        scale_moves(c, p)
+                    if p == n:
+                        parked += 1
+                    else:
+                        end[c] = _window_end(t, cfg.burnin, block, first + n) - first
 
         # Retention, deferred to the chunk's end: a chain's state after step
         # t is its chunk-start state plus its moves accepted up to t, added

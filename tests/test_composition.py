@@ -18,7 +18,14 @@ from fbst import (
     sample_posterior,
 )
 from fbst import composition
-from fbst.composition import MissingComponentError, _stable_pair_order, analyze_network, convolve_all
+from fbst.composition import (
+    MissingComponentError,
+    _pair_counts,
+    _stable_pair_order,
+    analyze_network,
+    convolve_all,
+    convolved_truth,
+)
 from fbst.truth import estimate_truth_ladder, sup_distance
 from test_truth import (
     _reference_condense,
@@ -327,6 +334,100 @@ class TestCompositeEvalues:
         )
         oracle = float(np.mean(combined <= star1 + star2))
         assert got == pytest.approx(oracle, abs=0.02)
+
+
+def brute_counts(a, b, v):
+    """#{j : fl(a[i] + b[j]) <= v[q]}, from every pair sum."""
+    sums = np.add.outer(a, b)
+    return np.sum(sums[None] <= np.asarray(v)[:, None, None], axis=2)
+
+
+def brute_truth(left, right, v):
+    """The mass of every atom pair whose sum fl(a_i + b_j) is <= v."""
+    pair = np.multiply.outer(left.atom_masses(), right.atom_masses())
+    hit = np.add.outer(left.log_v, right.log_v)[None] <= np.asarray(v)[:, None, None]
+    out = np.sum(pair * hit, axis=(1, 2)) / pair.sum()
+    return np.where(np.isposinf(v), 1.0, np.where(np.isneginf(v), 0.0, out))
+
+
+class TestQueryRead:
+    def test_absorbed_pairs_are_counted(self):
+        # every b is tiny next to a: 212 of the 401 sums round to a or
+        # below, where a search for v - a finds 201
+        a, b, v = np.array([1e6]), np.linspace(-1e-9, 1e-9, 401), np.array([1e6])
+        assert brute_counts(a, b, v)[0, 0] == 212
+        assert np.searchsorted(b, v - a, side="right")[0] == 201
+        assert _pair_counts(a, b, v)[0, 0] == 212
+
+    def test_counts_equal_the_pair_sums(self):
+        # ties, absorption, -inf atoms and queries at pair sums
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            b = np.unique(np.round(rng.normal(size=rng.integers(1, 60)) * 10.0 ** rng.integers(-12, 2),
+                                   rng.integers(0, 14)))
+            a = np.unique(rng.normal(size=rng.integers(1, 30)) * 10.0 ** rng.integers(0, 8))
+            if seed % 3 == 0:
+                a = np.append(-np.inf, a)
+            if seed % 5 == 0:
+                b = np.append(-np.inf, b)
+            sums = np.add.outer(a, b).ravel()
+            v = np.concatenate([rng.choice(sums, 4), rng.normal(size=2) * 10.0 ** rng.integers(0, 8)])
+            assert np.array_equal(_pair_counts(a, b, v), brute_counts(a, b, v))
+
+    def test_two_ladders_read_exactly(self):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            a, b = (np.unique(np.round(rng.normal(size=rng.integers(1, 80)), 2)) for _ in range(2))
+            if seed % 4 == 0:
+                a = np.append(-np.inf, a)
+            left, right = random_ladder(a, seed), random_ladder(b, seed + 1)
+            sums = np.add.outer(a, b).ravel()
+            v = np.concatenate([rng.choice(sums, 5), [-np.inf, np.inf, sums.max() + 1.0]])
+            got = convolved_truth([left, right], v)
+            assert np.max(np.abs(got - brute_truth(left, right, v))) <= 1e-12
+            # every pair counted reads exactly 1, no pair exactly 0
+            assert got[-3] == 0.0 and got[-2] == got[-1] == 1.0
+
+    def test_one_ladder_and_edge_queries_match_eval_truth(self):
+        lad = random_ladder([-np.inf, -1.0, 0.5], 3)
+        v = np.array([-np.inf, -2.0, -1.0, 0.0, 0.5, np.inf, np.nan])
+        assert np.array_equal(convolved_truth([lad], v), eval_truth(lad, v))
+        # the joint ladder's reading of infinite and NaN queries, at any k
+        edges = v[[0, 5, 6]]
+        for k in (2, 3):
+            assert np.array_equal(convolved_truth([lad] * k, edges), eval_truth(convolve_all([lad] * k), edges))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_within_one_condensation_of_the_joint_ladder(self, seed):
+        # only the last condensation to n_max is dropped, so the value lies
+        # at or above the joint ladder's and within 1/n_max of it
+        rng = np.random.default_rng(seed)
+        n_max = 64
+        k, q = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        ladders = [random_ladder(np.sort(rng.normal(size=int(rng.integers(40, 200)))), seed * 10 + j)
+                   for j in range(k)]
+        grid = rng.normal(size=(q, k)) * 0.5
+        c = CompositeStructure(ladders, grid)
+        old = eval_truth(_reference_convolve_all(ladders, n_max), grid.sum(axis=1))
+        new = np.array([conjunctive_evalue(c, i, n_max) for i in range(q)])
+        assert np.all(new - old >= -1e-12)
+        assert np.all(new - old <= 1.0 / n_max + 1e-12)
+        assert disjunctive_evalue(c, n_max) == new.max()
+
+    @pytest.mark.parametrize("k, calls", [(1, 0), (2, 0), (3, 1), (4, 2), (5, 3)])
+    def test_convolutions_made(self, monkeypatch, k, calls):
+        made = []
+        mellin = composition.mellin_convolve
+
+        def counted(*args, **kwargs):
+            made.append(1)
+            return mellin(*args, **kwargs)
+
+        monkeypatch.setattr(composition, "mellin_convolve", counted)
+        parts = [two_point(1 + j, 3 + j) for j in range(k)]
+        c = CompositeStructure(parts, np.zeros((2, k)))
+        disjunctive_evalue(c)
+        assert len(made) == calls
 
 
 class TestAnalyzeNetwork:

@@ -255,6 +255,17 @@ class TestSamplePosterior:
         assert np.all((s.draws > 0.0) & (s.draws < 1.0))
         assert abs(s.draws.mean() - 8 / 22) < 0.05  # the mean of Beta(8, 14)
 
+    @pytest.mark.parametrize("bounds", [[None, None], [-5, 5]])
+    def test_log_of_negative_raises_no_warning(self, bounds):
+        # log(a) is NaN for a < 0: a rejected value, on unbounded and
+        # bounded spaces alike
+        model, _ = model_from_spec({"family": "generic", "coordinates": ["a"],
+                                    "log_kernel": "log(a) - a^2", "bounds": [bounds]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = sample_posterior(model, SamplerConfig(seed=0, chains=2, draws=1_000, burnin=200))
+        assert np.all(s.draws > 0.0)
+
     def test_constant_kernel_samples_the_box(self):
         # every row of a round inside the bounds (parked chains, the rows
         # past the chunk) still gives one kernel value a row
