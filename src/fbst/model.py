@@ -286,10 +286,15 @@ def make_gaussian_mean_model(m: float, v: float) -> StatisticalModel:
         raise ValueError("variance must be positive")
     m, v = float(m), float(v)
     space = unbounded_space(("theta",))
+    neg_2v = -2.0 * v
 
     def kernel(theta):
-        th = np.asarray(theta, dtype=float)[..., 0]
-        return -((th - m) ** 2) / (2.0 * v)
+        # -((theta - m)**2) / (2v) bit for bit: **2 is a square, and IEEE
+        # division is symmetric in sign
+        dev = np.asarray(theta, dtype=float)[..., 0] - m
+        dev *= dev
+        dev /= neg_2v
+        return dev
 
     return StatisticalModel(
         space=space,
@@ -380,6 +385,17 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
     the posterior density in the (beta, sigma) coordinates.  beta_hat and
     the SSR come from `least_squares`, and the proposal's beta block is
     sqrt(s2) L^-T, an upper-triangular factor of s2 (X'X)^-1.
+
+    With lam = log_sigma, the log-kernel is
+    -n lam - exp(-2 lam) (SSR + |X (beta - beta_hat)|^2) / 2, the Jacobian
+    of sigma -> lam folded in; the reference lam takes it out again, so the
+    surprise stays reparameterization-invariant.  X = QR (numpy's QR, R
+    alone), so |X (beta - beta_hat)| = |(beta - beta_hat) R'|, and one
+    (k+2)-square product w = (theta - (beta_hat, 0)) blockdiag(R', -2)
+    gives both z = (beta - beta_hat) R' and w_lam = -2 lam: the kernel is
+    -(exp(w_lam) (SSR + |z|^2) - n w_lam) / 2.  R is not the Cholesky
+    factor of X'X, which at order 5 is off by about 1e-10 against exact
+    arithmetic where R is within about 3e-13.
     """
     X, L_inv, beta_hat, ssr = least_squares(data, k)
     y = data.column("y")
@@ -387,22 +403,24 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
     s2 = ssr / (n - k)
     names = tuple(f"b{i}" for i in range(k + 1)) + ("log_sigma",)
     space = unbounded_space(names)
-
-    def log_surprise_fn(theta):
-        # the density of the (beta, sigma) parameterization, evaluated at
-        # sigma = exp(log_sigma); equals kernel minus reference below
-        th = np.asarray(theta, dtype=float)
-        beta = th[..., : k + 1]
-        lam = th[..., k + 1]
-        resid = (beta - beta_hat) @ X.T
-        quad = (n - k) * s2 + (resid * resid).sum(axis=-1)
-        return -(n + 1) * lam - 0.5 * np.exp(-2.0 * lam) * quad
+    shift = np.append(beta_hat, 0.0)
+    factor = np.zeros((k + 2, k + 2))
+    factor[: k + 1, : k + 1] = np.linalg.qr(X, mode="r").T
+    factor[k + 1, k + 1] = -2.0
 
     def kernel(theta):
-        # Jacobian of sigma -> log_sigma folds into the kernel; the matching
-        # reference term keeps the surprise reparameterization-invariant
-        th = np.asarray(theta, dtype=float)
-        return log_surprise_fn(th) + th[..., k + 1]
+        # beta_hat goes before the product: (beta - beta_hat) R' is accurate
+        # where beta R' - beta_hat R' would cancel
+        w = (np.asarray(theta, dtype=float) - shift) @ factor
+        w_lam = w[..., k + 1].copy()  # a view, and w is squared next
+        w *= w
+        val = w[..., : k + 1].sum(axis=-1)
+        val += ssr
+        val *= np.exp(w_lam)
+        w_lam *= n
+        val -= w_lam
+        val *= -0.5
+        return val
 
     def reference(theta):
         return np.asarray(theta, dtype=float)[..., k + 1]

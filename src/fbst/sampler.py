@@ -14,10 +14,12 @@ generator cannot simply be advanced).  Randomness is generated
 `CHUNK` steps at a time, so its memory is O(CHUNK x chains x d) whatever
 the step count.
 
-Each chunk's moves, scaled by each chain's current proposal scale, and its
-log-uniforms are packed into one per-chain buffer.  The sampler then runs
-rounds: a round gathers every chain's next `PREFETCH` moves and makes one
-kernel call on the `(chains * PREFETCH, d)` proposals `current + move`.
+Each chunk's moves, scaled by each chain's current proposal scale, sit in
+one per-chain moves buffer, and each chain's log-uniforms are converted to
+Python floats once a chunk.  The sampler then runs rounds: a round gathers
+every chain's next `PREFETCH` moves, adds the chain's current point to them
+in place, and makes one kernel call on these `(chains * PREFETCH, d)`
+proposals.
 While a chain rejects, its current point does not change, so those
 proposals are the ones a step-by-step loop would make; each chain takes
 them, on its own, up to its first acceptance or the end of its window.  A
@@ -217,13 +219,13 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
     zs = np.empty((width, chains, d))
     # unscaled moves: proposal directions, or hit-and-run's unit directions
     steer = np.empty_like(zs)
-    # per chain and chunk step: the scaled move, then the log-uniform; the
-    # PREFETCH rows past the chunk keep every round's gather inside
+    # per chain and chunk step: the scaled move; the PREFETCH rows past the
+    # chunk keep every round's gather inside
     stride = width + PREFETCH
-    packed = np.zeros((chains, stride, d + 1))
-    moves, log_us = packed[..., :d], packed[..., d]
+    moves = np.zeros((chains, stride, d))
     step_major = moves.swapaxes(0, 1)
-    flat = packed.reshape(chains * stride, d + 1)
+    flat = moves.reshape(chains * stride, d)
+    log_us = [None] * chains  # per chain: the chunk's log-uniforms, as floats
     row_of = list(range(0, chains * stride, stride))  # each chain's first row in `flat`
     offset = np.array(row_of)  # each chain's next row in `flat`
     next_row = offset[:, None]
@@ -253,7 +255,7 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
         n = min(CHUNK, steps - first)
         for c, (normals, uniforms, directions) in enumerate(streams):
             zs[:n, c, :] = normals.standard_normal((n, d))
-            log_us[c, :n] = np.log(uniforms.random(n))
+            log_us[c] = np.log(uniforms.random(n)).tolist()
             if hit_and_run:
                 raw = directions.standard_normal((n, d))
                 steer[:n, c, :] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
@@ -263,7 +265,7 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
             np.matmul(zs[:n], chol.T, out=steer[:n])
 
         scale_moves(slice(None))
-        packed[:, n:] = 0.0
+        moves[:, n:] = 0.0
         chunk_start, chunk_start_lk = current.copy(), cur_lk.copy()
         pos = [0] * chains
         end = [_window_end(first, cfg.burnin, block, first + n) - first] * chains
@@ -280,19 +282,20 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
         # spaces alike: one errstate for the chunk, not one per round
         with np.errstate(divide="ignore", invalid="ignore"):
             while parked < chains:
-                batch = flat.take(next_row + ahead, axis=0)
-                proposal = current[:, None, :] + batch[..., :d]
+                # move + current: the same bits as current + move
+                proposal = flat.take(next_row + ahead, axis=0)
+                proposal += current[:, None, :]
                 prop_lk = np.asarray(kernel(proposal.reshape(-1, d)), dtype=float)
-                lks, log_u = prop_lk.reshape(chains, PREFETCH).tolist(), batch[..., d].tolist()
+                lks = prop_lk.reshape(chains, PREFETCH).tolist()
                 for c in range(chains):
                     p = pos[c]
                     lim = min(end[c] - p, PREFETCH)
                     if lim == 0:
                         continue
-                    lk, u, now = lks[c], log_u[c], cur_lk[c]
+                    lk, u, now = lks[c], log_us[c], cur_lk[c]
                     for j in range(lim):
                         # now is finite, so NaN compares False; +inf is rejected
-                        if u[j] < lk[j] - now and lk[j] < math.inf:
+                        if u[p + j] < lk[j] - now and lk[j] < math.inf:
                             current[c] = proposal[c, j]
                             cur_lk[c] = lk[j]
                             accepted_at[c].append(p + j)

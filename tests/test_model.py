@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -339,6 +340,21 @@ class TestGaussianMeanFamily:
         with pytest.raises(ValueError):
             make_gaussian_mean_model(0.0, 0.0)
 
+    @pytest.mark.parametrize("m, v", [(0.0, 1.0), (1.0, 2.0), (0.05, 1.0 / 200), (-3.0, 7.3)])
+    def test_kernel_bits_equal_the_plain_formula(self, m, v):
+        # the kernel's in-place form against -((theta - m)**2) / (2v), bit
+        # for bit: random batches, one point, overflow to -inf, and NaN
+        model = make_gaussian_mean_model(m, v)
+        batch = np.random.default_rng(0).normal(m, 3.0 * math.sqrt(v), (64, 1))
+        edge = np.array([[1e200], [-1e200], [np.nan], [m], [np.inf]])
+        with np.errstate(over="ignore"):
+            for theta in (batch, batch.reshape(8, 8, 1), batch[0], edge, edge[0], edge[2]):
+                want = -((theta[..., 0] - m) ** 2) / (2.0 * v)
+                got = model.log_kernel(theta)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(model.log_kernel(edge[:2]), [-np.inf, -np.inf])
+
 
 class TestPolynomialRegressionFamily:
     def test_order0_intercept_is_mean(self, table2):
@@ -383,6 +399,29 @@ class TestPolynomialRegressionFamily:
         ref = m.extra["s2"] * m.extra["XtX_inv"]
         assert np.max(np.abs(cov - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(C, np.triu(C))
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_log_kernel_against_exact_arithmetic(self, table2, k):
+        # -n lam - exp(-2 lam) (ssr + |X (beta - beta_hat)|^2) / 2 from the
+        # model's float beta_hat and ssr: the quadratic form in exact
+        # rationals, the exponential in mpmath.  cond(X'X) is 1.1e7 at
+        # order 5, where a Cholesky factor of X'X in place of the QR
+        # factor of X is off by about 1.7e-10.
+        mp = pytest.importorskip("mpmath")
+        model = make_polynomial_regression_model(table2, k)
+        ex = model.extra
+        steps = np.random.default_rng(k).standard_normal((4, k + 2)) @ model.proposal_chol.T
+        points = np.vstack([model.mode, model.mode + 2.38 / math.sqrt(k + 2) * steps])
+        got = model.log_kernel(points)
+        for theta, value in zip(points, got):
+            diff = [Fraction(b) - Fraction(b_hat) for b, b_hat in zip(theta[:-1], ex["beta_hat"])]
+            q = Fraction(ex["ssr"]) + sum(sum(Fraction(x) * dj for x, dj in zip(row, diff)) ** 2
+                                          for row in ex["X"])
+            with mp.workdps(50):
+                lam = mp.mpf(theta[-1])
+                exact = -ex["n"] * lam - mp.exp(-2 * lam) * (mp.mpf(q.numerator) / q.denominator) / 2
+                assert abs(value - exact) <= 1e-11
+            assert abs(model.log_kernel(theta) - value) <= 1e-12
 
     def test_dropping_the_top_coefficient_gives_the_lower_order_fit(self, table2):
         # the b_k = 0 projection of the order-k fit is the order-(k-1) fit
