@@ -2,7 +2,10 @@
 
 The chi-square CDF Q(d, z) is the regularized lower incomplete gamma
 function P(d/2, z/2), and its quantile is 2 P^{-1}(d/2, c); both come from
-scipy.special (gammainc, gammaincinv).
+scipy.special (gammainc, gammaincinv). scipy.special loads at the first
+chi-square call, not with `import fbst`. The standardization
+sigma(t, h, c) = Q(t - h, Q^{-1}(t, c)) is c itself at h = t and at h = 0,
+where Q(t, Q^{-1}(t, c)) = c, so a point null makes no chi-square call.
 """
 
 from __future__ import annotations
@@ -12,12 +15,32 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
 
 from .model import Hypothesis, StatisticalModel
 from .optimizer import Optimum, OptimizerConfig, maximize_surprise
 from .sampler import DegenerateSeriesError, SurpriseSample, effective_sample_size
 from .truth import TruthLadder, estimate_truth_ladder, eval_truth
+
+
+def _load_special():
+    """Rebind `gammainc` and `gammaincinv` to scipy's ufuncs, so that each
+    later chi-square call reaches scipy through one global lookup."""
+    global gammainc, gammaincinv
+    import scipy.special
+
+    gammainc, gammaincinv = scipy.special.gammainc, scipy.special.gammaincinv
+
+
+def gammainc(a, x):
+    """Stands in for scipy.special.gammainc until the first call."""
+    _load_special()
+    return gammainc(a, x)
+
+
+def gammaincinv(a, y):
+    """Stands in for scipy.special.gammaincinv until the first call."""
+    _load_special()
+    return gammaincinv(a, y)
 
 
 def chi2_cdf(d: int, z: float) -> float:
@@ -39,14 +62,16 @@ def chi2_quantile(d: int, c: float) -> float:
 
 
 def standardize(t: int, h: int, c: float) -> float:
-    """sigma(t, h, c) = Q(t - h, Q^{-1}(t, c)); identity when h == t."""
+    """sigma(t, h, c) = Q(t - h, Q^{-1}(t, c)); c itself when h == 0 or h == t."""
     if t < 1 or not 0 <= h <= t:
         raise ValueError("need 1 <= t and 0 <= h <= t")
     if not 0.0 <= c <= 1.0:
         raise ValueError("c must lie in [0, 1]")
-    if h == t:
-        # Q is only defined for positive degrees of freedom; the slack
-        # full-dimension case passes the significance value through
+    if h == t or h == 0:
+        # h == t: Q is only defined for positive degrees of freedom, and the
+        # slack full-dimension case passes the significance value through;
+        # h == 0: Q(t, Q^{-1}(t, c)) = c, which the round trip misses in the
+        # last bits
         return c
     return chi2_cdf(t - h, chi2_quantile(t, c))
 

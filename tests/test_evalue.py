@@ -65,6 +65,13 @@ class TestStandardize:
         for c in (0.0, 0.2, 1.0):
             assert standardize(3, 3, c) == c
 
+    def test_identity_when_h_is_zero(self):
+        # Q(t, Q^{-1}(t, c)) = c exactly, not through the round trip
+        grid = (0.0, 1e-9, *np.linspace(0.0, 1.0, 1001), 1 - 1e-9, 1.0)
+        for t in range(1, 11):
+            for c in grid:
+                assert standardize(t, 0, float(c)) == c
+
     def test_reference_value(self):
         assert standardize(2, 1, 0.5) == pytest.approx(0.7611, abs=1e-3)
 

@@ -1,7 +1,10 @@
 """Which scipy modules each path loads, each case in a fresh interpreter.
 
-`import fbst` loads numpy and scipy.special only; scipy.linalg loads with
-the first regression model and scipy.optimize with the first SLSQP run.
+`import fbst` loads numpy only. scipy.linalg loads with the first
+regression model, scipy.optimize with the first SLSQP run, and
+scipy.special with the first chi-square call, which a standardization
+makes only when 0 < h < t. The GFBST harness, a network of gaussian-mean
+slots and a point-null e-value load none of the three.
 """
 
 import json
@@ -11,10 +14,12 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import fbst
 
 SRC = str(Path(fbst.__file__).resolve().parents[1])
-DEFERRED = ("scipy.optimize", "scipy.linalg")
+DEFERRED = ("scipy.optimize", "scipy.linalg", "scipy.special")
 
 
 def loaded(code):
@@ -54,6 +59,45 @@ def test_gaussian_sharp_evalue_loads_neither():
     """) == [[]]
 
 
+def test_gfbst_harness_loads_none():
+    assert loaded("""
+        import numpy as np
+        from fbst import GridModel, check_logical_properties
+        grid = GridModel.random(4, np.random.default_rng(0))
+        assert check_logical_properties(grid, trials=20, seed=0)["total_violations"] == 0
+    """) == [[]]
+
+
+def test_gaussian_network_loads_none():
+    assert loaded("""
+        from fbst import SamplerConfig
+        from fbst.composition import analyze_network
+        spec = {"serial": [{"family": "gaussian-mean", "mean": 0.0, "variance": 1.0},
+                           {"family": "gaussian-mean", "mean": 2.0, "variance": 1.0}],
+                "disjuncts": [[{"equalities": ["theta"]}, None],
+                              [None, {"equalities": ["theta - 2"]}]]}
+        analyze_network(spec, SamplerConfig(seed=0, chains=2, draws=2_000, burnin=500))
+    """) == [[]]
+
+
+def test_regression_evalue_loads_special_at_its_standardization():
+    # b_2 = 0 in the order-2 model: h = 3 of t = 4, so sigma calls Q
+    assert loaded("""
+        from fbst import (SamplerConfig, coordinate_zero_hypothesis, estimate_truth_ladder,
+                          evalue, make_polynomial_regression_model, maximize_surprise,
+                          sample_posterior)
+        from fbst.modelsel import benchmark_dataset
+        model = make_polynomial_regression_model(benchmark_dataset(), 2)
+        H = coordinate_zero_hypothesis(2, model.space.dimension)
+        sample = sample_posterior(model, SamplerConfig(seed=0, chains=2, draws=2_000, burnin=500))
+        ladder = estimate_truth_ladder(sample)
+        opt = maximize_surprise(model, H, sample)
+        assert opt.method == "closed-form"
+        report()
+        assert 0 < evalue(model, H, sample, ladder=ladder, optimum=opt).hdim < model.space.dimension
+    """) == [["scipy.linalg"], ["scipy.linalg", "scipy.special"]]
+
+
 def test_regression_model_loads_linalg_only():
     assert loaded("""
         from fbst import make_polynomial_regression_model
@@ -77,3 +121,35 @@ def test_slsqp_loads_optimize():
     """)
     assert before == []
     assert "scipy.optimize" in after
+
+
+@pytest.mark.parametrize("first, scipy_value", [
+    ("chi2_quantile(3, 0.25)", "2.0 * float(gammaincinv(1.5, 0.25))"),
+    ("chi2_cdf(3, 1.5)", "float(gammainc(1.5, 0.75))"),
+], ids=["quantile-first", "cdf-first"])
+def test_chi_square_binds_scipy_bit_for_bit(first, scipy_value):
+    # the first fbst call of the interpreter loads scipy.special; that call
+    # and every later one equal scipy's own ufuncs bit for bit
+    assert loaded(f"""
+        import importlib, sys
+        import fbst
+        evalue_module = importlib.import_module("fbst.evalue")
+        value = fbst.{first}
+        assert "scipy.special" in sys.modules
+        from scipy.special import gammainc, gammaincinv
+        assert evalue_module.gammainc is gammainc and evalue_module.gammaincinv is gammaincinv
+        assert value == {scipy_value}
+        levels = (0.0, 1e-300, 1e-9, 1e-3, 0.25, 0.5, 0.9, 0.999, 1 - 1e-9, 1.0)
+        for _ in range(2):
+            for d in range(1, 13):
+                for c in levels:
+                    z = fbst.chi2_quantile(d, c)
+                    assert z == 2.0 * float(gammaincinv(d / 2, c)), (d, c)
+                    for point in (0.0, 1e-6, 0.5 * z, z, 2.0 * z + 1.0):
+                        assert fbst.chi2_cdf(d, point) == float(gammainc(d / 2, point / 2)), (d, point)
+            for t in range(2, 9):
+                for h in range(1, t):
+                    for c in levels:
+                        z = 2.0 * float(gammaincinv(t / 2, c))
+                        assert fbst.standardize(t, h, c) == float(gammainc((t - h) / 2, z / 2)), (t, h, c)
+    """) == [["scipy.special"]]
