@@ -87,13 +87,14 @@ class StatisticalModel:
     `log_kernel` and `log_reference` must accept arrays of any leading
     shape (..., d) and return shape (...,).  A None reference means flat
     (log r == 0).  The sampler calls the kernel on speculative batches of
-    shape (chains * PREFETCH, d), many of whose rows no chain moves to, so
-    a kernel must be pure: no side effects, and no dependence on earlier
-    calls.  `proposal_chol` is any factor C with C C' equal to the proposal
-    covariance, not necessarily a lower-triangular Cholesky factor; the
-    polynomial regression's is upper triangular.  `mode` is where the
-    sampler's chains and the optimizer's last start begin; it is the exact
-    maximizer of the surprise only for the built-in families (`exact_mode`).
+    shape (chains * PREFETCH * (1 + PREFETCH2), d), many of whose rows no
+    chain moves to, so a kernel must be pure: no side effects, and no
+    dependence on earlier calls.  `proposal_chol` is any factor C with C C'
+    equal to the proposal covariance, not necessarily a lower-triangular
+    Cholesky factor; the polynomial regression's is upper triangular.
+    `mode` is where the sampler's chains and the optimizer's last start
+    begin; it is the exact maximizer of the surprise only for the built-in
+    families (`exact_mode`).
 
     The one evaluation rule, for one point or any batch: `log_kernel_safe`
     is -inf outside the bounds and where the kernel is NaN or +inf, and

@@ -6,29 +6,30 @@ bit-identical output for a fixed configuration.
 
 Chain c's stream, from `default_rng(SeedSequence(seed).spawn(chains)[c])`,
 is laid out as `steps x d` proposal normals, then `steps` acceptance
-uniforms, then, for hit-and-run only, `steps x d` direction normals.  The
-sampler reads each segment through its own generator, positioned at the
-segment's start by generating and discarding the segments before it
-(ziggurat normals consume a variable amount of the bit stream, so the
-generator cannot simply be advanced).  Randomness is generated
-`CHUNK` steps at a time, so its memory is O(CHUNK x chains x d) whatever
-the step count.
+uniforms.  The sampler reads each segment through its own generator,
+positioned at the segment's start by generating and discarding the
+normals before it (ziggurat normals consume a variable amount of the bit
+stream, so the generator cannot simply be advanced).  Randomness is
+generated `CHUNK` steps at a time, so its memory is O(CHUNK x chains x d)
+whatever the step count.
 
 Each chunk's moves, scaled by each chain's current proposal scale, sit in
 one per-chain moves buffer, and each chain's log-uniforms are converted to
-Python floats once a chunk.  The sampler then runs rounds: a round gathers
-every chain's next `PREFETCH` moves, adds the chain's current point to them
-in place, and makes one kernel call on these `(chains * PREFETCH, d)`
-proposals.
-While a chain rejects, its current point does not change, so those
-proposals are the ones a step-by-step loop would make; each chain takes
-them, on its own, up to its first acceptance or the end of its window.  A
-window ends at the chunk's end and, during burn-in, at the chain's next
-50-step adaptation point, so the scale is fixed within it; a burn-in end
-between two such points changes no scale and ends no window.  Retention
-is deferred to the chunk's end: each chain logs the steps it accepted and
-their log-kernels, and a cumulative sum of the accepted moves from its
-chunk-start state repeats the loop's additions.
+Python floats once a chunk.  The sampler then runs rounds, each one kernel
+call on a two-level tree of proposals per chain.  Level 1 is the chain's
+next `PREFETCH` moves m_{p+j} added to its current point x; while a chain
+rejects, x does not change, so these are the proposals a step-by-step loop
+would make.  Level 2 holds, for each level-1 position j, the next
+`PREFETCH2` moves added to fl(x + m_{p+j}), the point the chain reaches if
+it accepts at j: the same bits the loop would add.  Each chain, on its own,
+takes level 1 up to its first acceptance at j, then row j of level 2 up to
+its next acceptance, so a round consumes up to two acceptances.  Either
+run stops at the end of the chain's window: the chunk's end and, during
+burn-in, the chain's next 50-step adaptation point, so the scale is fixed
+within it; a burn-in end between two such points changes no scale and ends
+no window.  Retention is deferred to the chunk's end: each chain logs the
+steps it accepted and their log-kernels, and a cumulative sum of the
+accepted moves from its chunk-start state repeats the loop's additions.
 The draws therefore equal, bit for bit, those of generating each segment
 in one call and stepping one step at a time, provided the kernel gives a
 point the same value in any batch.
@@ -36,7 +37,6 @@ point the same value in any batch.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -49,8 +49,10 @@ from .model import StatisticalModel
 # Steps of randomness generated at a time; bounds the sampler's random
 # buffers and changes no draw.
 CHUNK = 1024
-# Proposals per chain evaluated in one kernel call; changes no draw.
-PREFETCH = 8
+# Level-1 proposals per chain in one kernel call, and level-2 proposals
+# after each of them; neither changes a draw.
+PREFETCH = 6
+PREFETCH2 = 4
 
 
 class SamplerStuckError(RuntimeError):
@@ -69,7 +71,7 @@ class DegenerateSeriesError(ValueError):
 class SamplerConfig:
     """MCMC configuration; identical config + seed gives identical draws."""
 
-    algorithm: str = "metropolis"  # or "hit-and-run"
+    algorithm: str = "metropolis"
     chains: int = 4
     draws: int = 50_000  # retained draws per chain
     burnin: int = 10_000
@@ -78,7 +80,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.algorithm not in ("metropolis", "hit-and-run"):
+        if self.algorithm != "metropolis":
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.draws < 1000:
             raise ValueError("need at least 1000 retained draws per chain")
@@ -169,17 +171,13 @@ def _discard(draw, count: int, width: int) -> None:
         draw(out=buf[: min(CHUNK, count - first)])
 
 
-def _chain_streams(seq, steps: int, d: int, hit_and_run: bool) -> tuple:
-    """Generators at the starts of one chain's normals, uniforms and (for
-    hit-and-run) direction normals; see the module docstring."""
+def _chain_streams(seq, steps: int, d: int) -> tuple:
+    """Generators at the starts of one chain's normals and uniforms; see
+    the module docstring."""
     normals = np.random.default_rng(seq)
     uniforms = np.random.default_rng(seq)
     _discard(uniforms.standard_normal, steps, d)
-    if not hit_and_run:
-        return normals, uniforms, None
-    directions = copy.deepcopy(uniforms)
-    _discard(directions.random, steps, 1)
-    return normals, uniforms, directions
+    return normals, uniforms
 
 
 def _window_end(t: int, burnin: int, block: int, limit: int) -> int:
@@ -204,7 +202,6 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
     base_scale = cfg.scale if cfg.scale is not None else 2.38 / math.sqrt(d)
     target = 0.44 if d == 1 else 0.234
     steps = cfg.burnin + cfg.draws * cfg.thin
-    hit_and_run = cfg.algorithm == "hit-and-run"
     space = model.space
     # log_kernel_safe's bounds mask is needed only on bounded spaces; here
     # the acceptance test rejects the NaN and +inf it would map to -inf, and
@@ -213,23 +210,29 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
     kernel = model.log_kernel if unbounded else model.log_kernel_safe
 
     chains = cfg.chains
-    streams = [_chain_streams(seq, steps, d, hit_and_run)
+    streams = [_chain_streams(seq, steps, d)
                for seq in np.random.SeedSequence(cfg.seed).spawn(chains)]
     width = min(CHUNK, steps)
     zs = np.empty((width, chains, d))
-    # unscaled moves: proposal directions, or hit-and-run's unit directions
-    steer = np.empty_like(zs)
-    # per chain and chunk step: the scaled move; the PREFETCH rows past the
-    # chunk keep every round's gather inside
-    stride = width + PREFETCH
+    steer = np.empty_like(zs)  # unscaled moves: the proposal directions
+    # per chain and chunk step: the scaled move; the PREFETCH + PREFETCH2
+    # rows past the chunk keep every round's gather inside
+    stride = width + PREFETCH + PREFETCH2
     moves = np.zeros((chains, stride, d))
     step_major = moves.swapaxes(0, 1)
     flat = moves.reshape(chains * stride, d)
     log_us = [None] * chains  # per chain: the chunk's log-uniforms, as floats
     row_of = list(range(0, chains * stride, stride))  # each chain's first row in `flat`
     offset = np.array(row_of)  # each chain's next row in `flat`
-    next_row = offset[:, None]
-    ahead = np.arange(PREFETCH)
+    # A round's proposals, level-major so that its two broadcast adds run
+    # over contiguous rows: proposals[0, j, c] is chain c's current point plus
+    # its move j steps ahead, and proposals[1 + i, j, c] is proposals[0, j, c]
+    # plus the move i + 1 steps after that, so tree[l, j] = j + l.
+    tree = np.add.outer(np.arange(1 + PREFETCH2), np.arange(PREFETCH))[:, :, None]
+    idx = np.empty((1 + PREFETCH2, PREFETCH, chains), dtype=np.intp)
+    proposals = np.empty((1 + PREFETCH2, PREFETCH, chains, d))
+    level1, level2 = proposals[0], proposals[1:]
+    rows = proposals.reshape(-1, d)
 
     current = np.tile(start, (chains, 1))
     cur_lk = [start_lk] * chains
@@ -241,11 +244,7 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
     def scale_moves(c, lo=0):
         """Write chain c's moves (every chain's for a slice) from step lo of
         the chunk of n steps on, at its current scale."""
-        s = scale[c, None]
-        if hit_and_run:
-            # uniform direction on the sphere; 1-D Metropolis step along it
-            s = zs[lo:n, c, :1] * s
-        np.multiply(steer[lo:n, c], s, out=step_major[lo:n, c])
+        np.multiply(steer[lo:n, c], scale[c, None], out=step_major[lo:n, c])
 
     retained = np.empty((chains, cfg.draws, d))
     retained_lk = np.empty((chains, cfg.draws))
@@ -253,16 +252,12 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
     block = 50
     for first in range(0, steps, CHUNK):
         n = min(CHUNK, steps - first)
-        for c, (normals, uniforms, directions) in enumerate(streams):
+        for c, (normals, uniforms) in enumerate(streams):
             zs[:n, c, :] = normals.standard_normal((n, d))
             log_us[c] = np.log(uniforms.random(n)).tolist()
-            if hit_and_run:
-                raw = directions.standard_normal((n, d))
-                steer[:n, c, :] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        if not hit_and_run:
-            # the chunk's proposal directions in one stacked matmul, the
-            # same (chains, d) @ (d, d) product per step as one call a step
-            np.matmul(zs[:n], chol.T, out=steer[:n])
+        # the chunk's proposal directions in one stacked matmul, the same
+        # (chains, d) @ (d, d) product per step as one call a step
+        np.matmul(zs[:n], chol.T, out=steer[:n])
 
         scale_moves(slice(None))
         moves[:, n:] = 0.0
@@ -274,34 +269,50 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
         accepted_lk = [[] for _ in range(chains)]
         parked = 0
 
-        # Rounds: one kernel call on every chain's next PREFETCH proposals.
-        # They all start from the chain's current point, which holds while
-        # it rejects, so each chain takes them up to its first acceptance or
-        # its window's end; a parked chain's rows are zero moves.
-        # log(0) and NaN are kernel values here, on bounded and unbounded
-        # spaces alike: one errstate for the chunk, not one per round
+        # Rounds: one kernel call on every chain's proposal tree.  Level 1
+        # starts from the chain's current point, which holds while it
+        # rejects, so each chain takes it up to its first acceptance at j
+        # or its window's end; after an acceptance, row j of level 2 starts
+        # from the point reached, and the chain takes it up to its next
+        # acceptance or its window's end.  A parked chain's rows are zero
+        # moves.  log(0) and NaN are kernel values here, on bounded and
+        # unbounded spaces alike: one errstate for the chunk, not one a round
         with np.errstate(divide="ignore", invalid="ignore"):
             while parked < chains:
-                # move + current: the same bits as current + move
-                proposal = flat.take(next_row + ahead, axis=0)
-                proposal += current[:, None, :]
-                prop_lk = np.asarray(kernel(proposal.reshape(-1, d)), dtype=float)
-                lks = prop_lk.reshape(chains, PREFETCH).tolist()
+                np.add(tree, offset, out=idx)
+                flat.take(idx, axis=0, out=proposals, mode="clip")
+                # move + point: the same bits as point + move
+                level1 += current
+                level2 += level1
+                prop_lk = np.asarray(kernel(rows), dtype=float)
+                # lks[c][j]: level 1's value at j, then row j of level 2
+                lks = prop_lk.reshape(1 + PREFETCH2, PREFETCH, chains).T.tolist()
                 for c in range(chains):
                     p = pos[c]
                     lim = min(end[c] - p, PREFETCH)
                     if lim == 0:
                         continue
-                    lk, u, now = lks[c], log_us[c], cur_lk[c]
+                    u, now, chain_lks = log_us[c], cur_lk[c], lks[c]
                     for j in range(lim):
+                        lk = chain_lks[j][0]
                         # now is finite, so NaN compares False; +inf is rejected
-                        if u[p + j] < lk[j] - now and lk[j] < math.inf:
-                            current[c] = proposal[c, j]
-                            cur_lk[c] = lk[j]
-                            accepted_at[c].append(p + j)
-                            accepted_lk[c].append(lk[j])
-                            block_acc[c] += 1
-                            p += j + 1
+                        if u[p + j] < lk - now and lk < math.inf:
+                            at, at_lk = accepted_at[c], accepted_lk[c]
+                            at.append(p + j)
+                            at_lk.append(lk)
+                            # level 2: row j, from the point just accepted
+                            level, row, p = 0, chain_lks[j], p + j + 1
+                            for i in range(1, min(end[c] - p, PREFETCH2) + 1):
+                                if u[p] < row[i] - lk and row[i] < math.inf:
+                                    at.append(p)
+                                    at_lk.append(row[i])
+                                    level, lk = i, row[i]
+                                    p += 1
+                                    break
+                                p += 1
+                            current[c] = proposals[level, j, c]
+                            cur_lk[c] = lk
+                            block_acc[c] += 1 + (level > 0)
                             break
                     else:
                         p += lim

@@ -20,6 +20,7 @@ from fbst import (
 from fbst.sampler import (
     CHUNK,
     PREFETCH,
+    PREFETCH2,
     DegenerateSeriesError,
     InitializationError,
     SamplerStuckError,
@@ -37,19 +38,14 @@ def _reference_sample(model, cfg):
     base_scale = cfg.scale if cfg.scale is not None else 2.38 / math.sqrt(d)
     target = 0.44 if d == 1 else 0.234
     steps = cfg.burnin + cfg.draws * cfg.thin
-    hit_and_run = cfg.algorithm == "hit-and-run"
 
     seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
     zs = np.empty((steps, cfg.chains, d))
     log_us = np.empty((steps, cfg.chains))
-    dirs = np.empty((steps, cfg.chains, d)) if hit_and_run else None
     for c, seq in enumerate(seqs):
         rng = np.random.default_rng(seq)
         zs[:, c, :] = rng.standard_normal((steps, d))
         log_us[:, c] = np.log(rng.random(steps))
-        if hit_and_run:
-            raw = rng.standard_normal((steps, d))
-            dirs[:, c, :] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
     current = np.tile(start, (cfg.chains, 1))
     cur_lk = np.full(cfg.chains, float(model.log_kernel_safe(start)))
@@ -61,10 +57,7 @@ def _reference_sample(model, cfg):
     keep = 0
     for t in range(steps):
         scale = np.exp(log_scale)[:, None]
-        if hit_and_run:
-            step = dirs[t] * (zs[t, :, :1] * scale)
-        else:
-            step = (zs[t] @ chol.T) * scale
+        step = (zs[t] @ chol.T) * scale
         proposal = current + step
         prop_lk = np.asarray(model.log_kernel_safe(proposal), dtype=float)
         with np.errstate(invalid="ignore"):
@@ -195,15 +188,6 @@ class TestSamplePosterior:
         s = sample_posterior(model, SamplerConfig(seed=0, chains=1, draws=1_000, burnin=200))
         assert np.all((s.draws >= 0.0) & (s.draws <= 1.0))
 
-    def test_hit_and_run_moments(self):
-        model = make_gaussian_mean_model(2.0, 4.0)
-        cfg = SamplerConfig(
-            algorithm="hit-and-run", seed=5, chains=2, draws=20_000, burnin=2_000
-        )
-        s = sample_posterior(model, cfg)
-        assert abs(s.draws.mean() - 2.0) < 0.1
-        assert abs(s.draws.var() - 4.0) < 0.3
-
     def test_stuck_chain_raises(self):
         sp = ParameterSpace(("u",), np.array([-np.inf]), np.array([np.inf]))
 
@@ -281,6 +265,8 @@ class TestSamplePosterior:
         with pytest.raises(ValueError):
             SamplerConfig(algorithm="nuts")
         with pytest.raises(ValueError):
+            SamplerConfig(algorithm="hit-and-run")
+        with pytest.raises(ValueError):
             SamplerConfig(scale=-1.0)
 
 
@@ -292,14 +278,10 @@ BIT_IDENTITY_CASES = {
     "metropolis-order3": (_regression(3), SamplerConfig(seed=7, chains=4, draws=1_000, burnin=500)),
     "gaussian-one-chain": (lambda _: make_gaussian_mean_model(1.0, 2.0),
                            SamplerConfig(seed=1, chains=1, draws=1_000, burnin=300)),
-    "hit-and-run-order2": (_regression(2), SamplerConfig(
-        algorithm="hit-and-run", seed=2, chains=3, draws=1_000, burnin=400)),
     "bounded-generic": (lambda _: model_from_spec(BOUNDED_SPEC)[0],
                         SamplerConfig(seed=4, chains=2, draws=1_000, burnin=300)),
     "thin3-order1": (_regression(1), SamplerConfig(seed=5, chains=2, draws=1_000, burnin=200, thin=3)),
     # 777 + 3 * 1000 steps: several chunks, the last one partial
-    "chunks-hit-and-run": (lambda _: make_gaussian_mean_model(1.0, 2.0), SamplerConfig(
-        algorithm="hit-and-run", seed=6, chains=2, draws=1_000, burnin=777, thin=3)),
     "chunks-metropolis": (_regression(2), SamplerConfig(seed=8, chains=3, draws=1_000, burnin=777, thin=3)),
     # the benchmark's select-fbst and gaussian-batch samplers
     "select-fbst-order5": (_regression(5), SamplerConfig(seed=9, chains=4, draws=1_000, burnin=500)),
@@ -309,6 +291,13 @@ BIT_IDENTITY_CASES = {
     "short-burnin-one-chain": (lambda _: make_gaussian_mean_model(-1.0, 0.5),
                                SamplerConfig(seed=11, chains=1, draws=1_000, burnin=5)),
     "eight-chains": (_regression(3), SamplerConfig(seed=12, chains=8, draws=1_000, burnin=400)),
+    # d = 1 targets acceptance 0.44, so level 2 runs most often, and here
+    # its runs are cut at adaptation points and at partial chunks' ends
+    "chunks-gaussian-one-chain": (lambda _: make_gaussian_mean_model(1.0, 2.0), SamplerConfig(
+        seed=6, chains=1, draws=1_000, burnin=777, thin=3)),
+    # burn-in 49: the first window ends at step 50, inside a level-2 run
+    "gaussian-burnin-49": (lambda _: make_gaussian_mean_model(1.0, 2.0),
+                           SamplerConfig(seed=2, chains=2, draws=1_000, burnin=49)),
     "nonfinite-kernel": (lambda _: NONFINITE_MODEL, SamplerConfig(seed=15, chains=3, draws=1_000, burnin=200)),
     # most proposals leave [0, 1], so most speculative rows are out of bounds
     "bounded-wide-scale": (lambda _: model_from_spec(BOUNDED_SPEC)[0],
@@ -339,7 +328,7 @@ class TestBitIdentity:
         assert np.allclose(got.log_surprise, want.log_surprise, rtol=0.0, atol=1e-12)
 
     def test_case_spans_partial_chunks(self):
-        for case in ("chunks-hit-and-run", "chunks-metropolis"):
+        for case in ("chunks-gaussian-one-chain", "chunks-metropolis"):
             cfg = BIT_IDENTITY_CASES[case][1]
             steps = cfg.burnin + cfg.draws * cfg.thin
             assert steps > 2 * CHUNK and steps % CHUNK != 0
@@ -363,23 +352,38 @@ class TestBitIdentity:
         assert np.mean((p < 0.0) | (p > 1.0)) > 0.5
 
 
+def _counting(model):
+    """The model with its kernel wrapped to record each call's shape."""
+    shapes = []
+
+    def counting(theta):
+        shapes.append(np.shape(theta))
+        return model.log_kernel(theta)
+
+    return dataclasses.replace(model, log_kernel=counting), shapes
+
+
 class TestPrefetch:
     def test_rounds_batch_kernel_calls(self, table2):
-        model = make_polynomial_regression_model(table2, 3)
-        shapes = []
-
-        def counting(theta):
-            shapes.append(np.shape(theta))
-            return model.log_kernel(theta)
-
+        model, shapes = _counting(make_polynomial_regression_model(table2, 3))
         cfg = SamplerConfig(seed=0, chains=4, draws=1_000, burnin=500)
-        sample_posterior(dataclasses.replace(model, log_kernel=counting), cfg)
+        sample_posterior(model, cfg)
         steps = cfg.burnin + cfg.draws
         # one call at the initial point, then one per round of PREFETCH
-        # proposals per chain; a one-step loop made `steps` calls
+        # level-1 proposals per chain, each followed by PREFETCH2 level-2
+        # ones; a one-step loop made `steps` calls
         assert shapes[0] == (5,)
-        assert set(shapes[1:]) == {(cfg.chains * PREFETCH, 5)}
-        assert len(shapes) < 0.4 * steps
+        assert set(shapes[1:]) == {(cfg.chains * PREFETCH * (1 + PREFETCH2), 5)}
+        assert len(shapes) < 0.25 * steps
+
+    def test_round_takes_two_acceptances(self):
+        # one acceptance a round would take at least as many rounds as the
+        # busiest chain accepts
+        model, shapes = _counting(make_gaussian_mean_model(0.05, 1.0 / 200))
+        cfg = BIT_IDENTITY_CASES["gaussian-batch"][1]
+        s = sample_posterior(model, cfg)
+        steps = cfg.burnin + cfg.draws * cfg.thin
+        assert len(shapes) - 1 < s.acceptance_rates.max() * steps
 
     def test_speculative_rows_raise_no_warning(self):
         # speculative proposals past a chain's first acceptance are
@@ -407,10 +411,14 @@ class TestRandomnessMemory:
     def test_peak_bounded_by_chunk_not_steps(self):
         # 20_000 steps per chain, 1000 retained: the reference holds every
         # step's randomness at once, the chunked sampler CHUNK steps of it.
-        # Measured peaks (numpy 2.4, CHUNK = 1024, PREFETCH = 8): reference
-        # 962 kB, sample_posterior 225 kB.
+        # Measured peaks (numpy 2.4, CHUNK = 1024, PREFETCH = 6,
+        # PREFETCH2 = 4): reference 962 kB, sample_posterior 304 kB.
         model = make_gaussian_mean_model(0.0, 1.0)
         cfg = SamplerConfig(seed=0, chains=2, draws=1_000, burnin=0, thin=20)
+        # a process's first sample imports modules lazily (about 700 kB of
+        # module objects), which is not sampler memory; run alone, this test
+        # would measure that too
+        sample_posterior(model, cfg)
         assert _peak_bytes(sample_posterior, model, cfg) < self.BOUND
         assert _peak_bytes(_reference_sample, model, cfg) > self.BOUND
 
