@@ -8,7 +8,7 @@ reference density is flat (log r == 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -93,8 +93,10 @@ class StatisticalModel:
     equal to the proposal covariance, not necessarily a lower-triangular
     Cholesky factor; the polynomial regression's is upper triangular.
     `mode` is where the sampler's chains and the optimizer's last start
-    begin; it is the exact maximizer of the surprise only for the built-in
-    families (`exact_mode`).
+    begin.  `closed_form(A=None, b=0.0)`, set by the built-in builders,
+    returns the exact surprise maximizer over Theta when A is None, or over
+    A theta = b (A 2-D, of full row rank), and None where the model has no
+    closed form; without it (a generic model) `mode` is only a start.
 
     The one evaluation rule, for one point or any batch: `log_kernel_safe`
     is -inf outside the bounds and where the kernel is NaN or +inf, and
@@ -105,10 +107,9 @@ class StatisticalModel:
     space: ParameterSpace
     log_kernel: Callable
     log_reference: Optional[Callable] = None
-    family: str = "generic"
     mode: Optional[np.ndarray] = None
     proposal_chol: Optional[np.ndarray] = None
-    extra: dict = field(default_factory=dict)
+    closed_form: Optional[Callable] = None
 
     def log_kernel_safe(self, theta) -> np.ndarray:
         """The rule's log-kernel; log(0) and NaN are values here, so numpy
@@ -283,9 +284,11 @@ def coordinate_zero_hypothesis(index: int, dim: int, label: str = "") -> Hypothe
 
 def make_gaussian_mean_model(m: float, v: float) -> StatisticalModel:
     """1-D model with posterior N(m, v) and flat reference density."""
-    if v <= 0:
-        raise ValueError("variance must be positive")
     m, v = float(m), float(v)
+    if not math.isfinite(m):
+        raise ValueError("mean must be finite")
+    if not 0.0 < v < math.inf:
+        raise ValueError("variance must be positive and finite")
     space = unbounded_space(("theta",))
     neg_2v = -2.0 * v
 
@@ -297,13 +300,13 @@ def make_gaussian_mean_model(m: float, v: float) -> StatisticalModel:
         dev /= neg_2v
         return dev
 
+    mode = np.array([m])
     return StatisticalModel(
         space=space,
         log_kernel=kernel,
-        family="gaussian-mean",
-        mode=np.array([m]),
+        mode=mode,
         proposal_chol=np.array([[math.sqrt(v)]]),
-        extra={"mean": m, "variance": v},
+        closed_form=lambda A=None, b=0.0: mode if A is None else None,
     )
 
 
@@ -359,11 +362,13 @@ def least_squares(data: Dataset, k: int):
     X'X = L L' is factored once and never inverted: beta_hat comes from
     triangular solves against L, and the lower-triangular L_inv = L^-1
     gives the model's covariance s2 L^-T L^-1.  Raises ValueError unless
-    n > k + 2, and SingularDesignError when cond(X'X) > 1e12.
+    0 <= k < n - 2, and SingularDesignError when cond(X'X) > 1e12.
     """
     # local: only regression models use scipy.linalg, and it slows `import fbst`
     from scipy.linalg import cho_solve, solve_triangular
 
+    if k < 0:
+        raise ValueError("order must be >= 0")
     if data.n <= k + 2:
         raise ValueError("need n > k + 2 observations")
     X = polynomial_design(data.column("x"), k)
@@ -399,7 +404,6 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
     arithmetic where R is within about 3e-13.
     """
     X, L_inv, beta_hat, ssr = least_squares(data, k)
-    y = data.column("y")
     n = data.n
     s2 = ssr / (n - k)
     names = tuple(f"b{i}" for i in range(k + 1)) + ("log_sigma",)
@@ -431,55 +435,40 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
     chol = np.zeros((k + 2, k + 2))
     chol[: k + 1, : k + 1] = math.sqrt(s2) * L_inv.T
     chol[k + 1, k + 1] = math.sqrt(1.0 / (2.0 * (n - k)))
+    XtX, XtX_inv = X.T @ X, L_inv.T @ L_inv
+
+    def closed_form(A=None, b=0.0):
+        """Under A theta = b with A's log_sigma column zero (A beta = b):
+        beta_tilde = beta_hat - (X'X)^-1 A' (A (X'X)^-1 A')^-1 (A beta_hat - b)
+        projects beta_hat onto the constraints in the X'X metric, and
+        sigma_tilde maximizes the profile of the posterior exponent.  Raises
+        ValueError when A (X'X)^-1 A' is singular."""
+        if A is None:
+            return mode
+        if A[:, -1].any():
+            return None
+        A = A[:, :-1]
+        M = A @ XtX_inv @ A.T
+        if np.linalg.matrix_rank(M) < len(A):
+            raise ValueError("degenerate constraint direction")
+        beta_tilde = beta_hat - XtX_inv @ A.T @ np.linalg.solve(M, A @ beta_hat - b)
+        diff = beta_tilde - beta_hat
+        sigma2 = ((n - k) * s2 + float(diff @ XtX @ diff)) / (n + 1)
+        return np.concatenate([beta_tilde, [0.5 * math.log(sigma2)]])
+
     return StatisticalModel(
         space=space,
         log_kernel=kernel,
         log_reference=reference,
-        family="polynomial-regression",
         mode=mode,
         proposal_chol=chol,
-        extra={
-            "X": X,
-            "y": y,
-            "XtX": X.T @ X,
-            "XtX_inv": L_inv.T @ L_inv,
-            "beta_hat": beta_hat,
-            "s2": s2,
-            "ssr": ssr,
-            "k": k,
-            "n": n,
-        },
+        closed_form=closed_form,
     )
 
 
 def exact_mode(model: StatisticalModel, A=None, b=0.0) -> Optional[np.ndarray]:
-    """A built-in family's surprise maximizer over Theta when A is None, or
-    over A theta = b (A 2-D, of full row rank) where the family has a closed
-    form; None everywhere else.  A generic model's `mode` is only a start.
-
-    A polynomial regression under A theta = b with A's log_sigma column zero
-    (A beta = b on the beta block):
-    beta_tilde = beta_hat - (X'X)^-1 A' (A (X'X)^-1 A')^-1 (A beta_hat - b)
-    projects beta_hat onto the constraints in the X'X metric, and sigma_tilde
-    maximizes the profile of the posterior exponent.  Raises ValueError when
-    A (X'X)^-1 A' is singular.
-    """
-    if A is None:
-        return model.mode if model.family in ("gaussian-mean", "polynomial-regression") else None
-    if model.family != "polynomial-regression" or A[:, -1].any():
-        return None
-    A = A[:, :-1]
-    ex = model.extra
-    XtX_inv, beta_hat = ex["XtX_inv"], ex["beta_hat"]
-    n, k, s2 = ex["n"], ex["k"], ex["s2"]
-    M = A @ XtX_inv @ A.T
-    if np.linalg.matrix_rank(M) < len(A):
-        raise ValueError("degenerate constraint direction")
-    beta_tilde = beta_hat - XtX_inv @ A.T @ np.linalg.solve(M, A @ beta_hat - b)
-    diff = beta_tilde - beta_hat
-    quad = float(diff @ ex["XtX"] @ diff)
-    sigma2 = ((n - k) * s2 + quad) / (n + 1)
-    return np.concatenate([beta_tilde, [0.5 * math.log(sigma2)]])
+    """`model.closed_form(A, b)`, or None for a model without one."""
+    return None if model.closed_form is None else model.closed_form(A, b)
 
 
 # ---------------------------------------------------------------------------

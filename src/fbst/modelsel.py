@@ -135,6 +135,8 @@ def selection_table(
     Every row's error columns come first, so an order whose fit fails
     (SingularDesignError) raises before any sampling.
     """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     if k_max > data.n - 3:
         raise ValueError("k_max too large for the dataset")
     n = data.n

@@ -6,10 +6,10 @@ s* = sup over H of the surprise, found by the first rule that applies:
   `np.linalg.lstsq` on A theta = b checks the system; an inconsistent one
   raises InfeasibleHypothesisError at once, and redundant rows are dropped;
 - mode in H: when H has no equalities and contains the maximizer over
-  Theta that `fbst.model.exact_mode` gives for a built-in family, that is
-  the answer, since sup_H s <= sup_Theta s = s(mode);
+  Theta that the model's `closed_form` gives (`fbst.model.exact_mode`),
+  that is the answer, since sup_H s <= sup_Theta s = s(mode);
 - affine closed forms: equalities that pin one point, and otherwise the
-  maximizer over A theta = b that `exact_mode` gives where the family has
+  maximizer over A theta = b that `closed_form` gives where the model has
   one (any consistent A beta = b on a polynomial regression's beta block);
 - everything else: scipy's SLSQP from the best posterior draws and the
   model's mode, within the space's bounds, on each piece of `H.closure()`
@@ -107,15 +107,16 @@ def _finish(model, H, theta, method, restarts=0) -> Optimum:
 
 
 def closed_form_constrained_mode(model: StatisticalModel, A, b=0.0) -> Optimum:
-    """Constrained surprise maximizer of a polynomial-regression model under
-    the linear equalities A beta = b; one row `a` gives a . beta = b.  The
-    closed form is `fbst.model.exact_mode`'s.
+    """Constrained surprise maximizer under the linear equalities A beta = b
+    on the coordinates before the last (a polynomial regression's beta
+    block); one row `a` gives a . beta = b.  The closed form is the model's
+    own `closed_form`; a model without one raises ValueError.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     A = np.column_stack([A, np.zeros(len(A))])
     theta = exact_mode(model, A, b)
     if theta is None:
-        raise ValueError("closed form requires the polynomial-regression family")
+        raise ValueError("the model has no closed form under A beta = b")
     return _finish(model, affine_hypothesis(A, b, "A.beta=b"), theta, "closed-form")
 
 

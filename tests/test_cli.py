@@ -163,6 +163,26 @@ class TestEv:
         assert captured.out == ""
         assert "surprise diverges on the hypothesis set" in captured.err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("mean", float("nan"), "mean must be finite"),
+        ("variance", float("inf"), "variance must be positive and finite"),
+    ])
+    def test_non_finite_gaussian_exits_2(self, tmp_path, capsys, field, value, message):
+        # json.load reads the NaN and Infinity that json.dumps writes
+        spec = write_spec(tmp_path, {**GAUSS_SPEC, field: value})
+        assert main(["ev", spec, "--seed", "0"] + FAST) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_negative_order_exits_2(self, tmp_path, capsys, table2):
+        csv = tmp_path / "data.csv"
+        table2.to_csv(csv)
+        spec = write_spec(tmp_path, {"family": "polynomial-regression", "order": -1,
+                                     "hypothesis": {"equalities": ["log_sigma"]}})
+        assert main(["ev", spec, "--data", str(csv), "--seed", "0"] + FAST) == 2
+        assert "order must be >= 0" in capsys.readouterr().err
+
     def test_random_seed_reported(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GAUSS_SPEC)
         code = main(["ev", spec] + FAST)
@@ -207,6 +227,15 @@ class TestSelect:
         assert len(table) == 5
         curves = np.loadtxt(plot, delimiter=",", skiprows=1)
         assert curves.shape[1] == 6  # x, target, orders 0-3
+
+    @pytest.mark.parametrize("criterion", ["sbc", "fbst"])
+    def test_negative_kmax_exits_2(self, tmp_path, capsys, criterion):
+        csv = tmp_path / "table.csv"
+        assert main(["select", "--builtin", "sakamoto", "--kmax", "-1", "--criterion",
+                     criterion, "--seed", "0", "--csv", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k_max must be >= 0" in captured.err
 
     def test_fbst_criterion(self, capsys):
         code, payload = run(

@@ -151,10 +151,9 @@ class TestEvalue:
         shifted = StatisticalModel(
             gauss_model.space,
             lambda th: gauss_model.log_kernel(th) + 11.0,
-            family=gauss_model.family,
             mode=gauss_model.mode,
             proposal_chol=gauss_model.proposal_chol,
-            extra=gauss_model.extra,
+            closed_form=gauss_model.closed_form,
         )
         cfg = SamplerConfig(seed=42, chains=4, draws=50_000, burnin=2_000)
         sample_b = sample_posterior(shifted, cfg)

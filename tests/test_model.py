@@ -26,6 +26,7 @@ from fbst import (
     point_hypothesis,
 )
 from fbst.expressions import ExpressionError, compile_expression
+from fbst.model import least_squares
 from fbst.optimizer import closed_form_constrained_mode
 
 
@@ -85,8 +86,7 @@ class TestLogSurprise:
 
     def test_regression_matches_direct_formula(self, reg2_model, table2):
         # independent termwise transcription of the posterior density
-        ex = reg2_model.extra
-        X, y, n, k = ex["X"], ex["y"], ex["n"], ex["k"]
+        X, y, n, k = least_squares(table2, 2)[0], table2.column("y"), table2.n, 2
         beta_hat = np.linalg.solve(X.T @ X, X.T @ y)
         s2 = float((y - X @ beta_hat) @ (y - X @ beta_hat)) / (n - k)
         beta = beta_hat + 0.05
@@ -359,24 +359,25 @@ class TestGaussianMeanFamily:
 class TestPolynomialRegressionFamily:
     def test_order0_intercept_is_mean(self, table2):
         m = make_polynomial_regression_model(table2, 0)
-        assert m.extra["beta_hat"][0] == pytest.approx(np.mean(table2.column("y")), abs=1e-12)
-        assert m.extra["beta_hat"][0] == pytest.approx(0.1460, abs=1e-4)
+        assert m.mode[0] == pytest.approx(np.mean(table2.column("y")), abs=1e-12)
+        assert m.mode[0] == pytest.approx(0.1460, abs=1e-4)
 
     def test_exact_line_interpolates(self):
         x = np.linspace(0, 1, 12)
         data = Dataset(np.column_stack([x, 2.0 * x - 0.5]), ("x", "y"))
         m = make_polynomial_regression_model(data, 1)
-        resid = data.column("y") - m.extra["X"] @ m.extra["beta_hat"]
+        resid = data.column("y") - least_squares(data, 1)[0] @ m.mode[:-1]
         assert np.max(np.abs(resid)) < 1e-12
 
-    def test_order2_mean_squared_residual(self, reg2_model):
-        assert reg2_model.extra["ssr"] / reg2_model.extra["n"] == pytest.approx(0.01130, abs=1e-4)
+    def test_order2_mean_squared_residual(self, table2):
+        assert least_squares(table2, 2)[3] / table2.n == pytest.approx(0.01130, abs=1e-4)
 
     def test_normal_equations(self, table2):
         for k in range(5):
             m = make_polynomial_regression_model(table2, k)
-            lhs = m.extra["XtX"] @ m.extra["beta_hat"]
-            rhs = m.extra["X"].T @ table2.column("y")
+            X = least_squares(table2, k)[0]
+            lhs = X.T @ X @ m.mode[:-1]
+            rhs = X.T @ table2.column("y")
             assert np.allclose(lhs, rhs, rtol=1e-10)
 
     def test_singular_design(self):
@@ -396,7 +397,8 @@ class TestPolynomialRegressionFamily:
         m = make_polynomial_regression_model(table2, 8)
         C = m.proposal_chol
         cov = (C @ C.T)[:9, :9]
-        ref = m.extra["s2"] * m.extra["XtX_inv"]
+        _, L_inv, _, ssr = least_squares(table2, 8)
+        ref = ssr / (table2.n - 8) * (L_inv.T @ L_inv)
         assert np.max(np.abs(cov - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(C, np.triu(C))
 
@@ -409,17 +411,17 @@ class TestPolynomialRegressionFamily:
         # factor of X is off by about 1.7e-10.
         mp = pytest.importorskip("mpmath")
         model = make_polynomial_regression_model(table2, k)
-        ex = model.extra
+        X, _, beta_hat, ssr = least_squares(table2, k)
         steps = np.random.default_rng(k).standard_normal((4, k + 2)) @ model.proposal_chol.T
         points = np.vstack([model.mode, model.mode + 2.38 / math.sqrt(k + 2) * steps])
         got = model.log_kernel(points)
         for theta, value in zip(points, got):
-            diff = [Fraction(b) - Fraction(b_hat) for b, b_hat in zip(theta[:-1], ex["beta_hat"])]
-            q = Fraction(ex["ssr"]) + sum(sum(Fraction(x) * dj for x, dj in zip(row, diff)) ** 2
-                                          for row in ex["X"])
+            diff = [Fraction(b) - Fraction(b_hat) for b, b_hat in zip(theta[:-1], beta_hat)]
+            q = Fraction(ssr) + sum(sum(Fraction(x) * dj for x, dj in zip(row, diff)) ** 2
+                                    for row in X)
             with mp.workdps(50):
                 lam = mp.mpf(theta[-1])
-                exact = -ex["n"] * lam - mp.exp(-2 * lam) * (mp.mpf(q.numerator) / q.denominator) / 2
+                exact = -table2.n * lam - mp.exp(-2 * lam) * (mp.mpf(q.numerator) / q.denominator) / 2
                 assert abs(value - exact) <= 1e-11
             assert abs(model.log_kernel(theta) - value) <= 1e-12
 
@@ -428,7 +430,7 @@ class TestPolynomialRegressionFamily:
         for k in range(1, 6):
             a = np.eye(k + 1)[k]
             opt = closed_form_constrained_mode(make_polynomial_regression_model(table2, k), a)
-            lower = make_polynomial_regression_model(table2, k - 1).extra["beta_hat"]
+            lower = make_polynomial_regression_model(table2, k - 1).mode[:-1]
             assert np.max(np.abs(opt.theta_star[:k] - lower)) <= 1e-12
 
 
@@ -479,7 +481,7 @@ class TestModelSpec:
                 "hypothesis": {"equalities": ["theta"]},
             }
         )
-        assert model.family == "gaussian-mean"
+        assert np.array_equal(model.closed_form(), [1.0])
         assert hyp.is_sharp
         assert hypothesis_contains(hyp, [0.0])
 

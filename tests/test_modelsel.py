@@ -16,6 +16,7 @@ from fbst import (
 )
 from fbst import modelsel
 from fbst.cli import main
+from fbst.model import least_squares
 from fbst.modelsel import (
     aic,
     evalue_top_coefficient,
@@ -57,9 +58,13 @@ class TestEmpiricalError:
             empirical_error(table2, 19)
 
     def test_model_reads_the_same_fit(self, table2):
+        n = table2.n
         for k in range(9):
             model = make_polynomial_regression_model(table2, k)
-            assert empirical_error(table2, k) == model.extra["ssr"] / table2.n
+            _, _, beta_hat, ssr = least_squares(table2, k)
+            assert empirical_error(table2, k) == ssr / n
+            assert np.array_equal(model.mode[:-1], beta_hat)
+            assert model.mode[-1] == 0.5 * math.log((n - k) * (ssr / (n - k)) / (n + 1))
 
     def test_order9_design_is_singular(self, table2):
         with pytest.raises(SingularDesignError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import warnings
@@ -25,7 +26,7 @@ from fbst import (
     sample_posterior,
 )
 from fbst import optimizer
-from fbst.model import exact_mode, unbounded_space
+from fbst.model import exact_mode, least_squares, unbounded_space
 from fbst.optimizer import SLSQP_OPTIONS, STEP, WALL, UnboundedSurpriseError, _slsqp
 
 SMALL_CFG = OptimizerConfig(restarts=8, outer_iterations=6)
@@ -51,11 +52,11 @@ class TestClosedForm:
         assert opt.method == "closed-form"
         assert opt.theta_star[0] == pytest.approx(1.0)
 
-    def test_regression_unconstrained_sigma(self, reg2_model):
+    def test_regression_unconstrained_sigma(self, reg2_model, table2):
         opt = maximize_surprise(reg2_model, Hypothesis())
-        ex = reg2_model.extra
-        sigma2 = (ex["n"] - ex["k"]) * ex["s2"] / (ex["n"] + 1)
-        assert np.allclose(opt.theta_star[:3], ex["beta_hat"])
+        _, _, beta_hat, ssr = least_squares(table2, 2)
+        sigma2 = ssr / (table2.n + 1)
+        assert np.allclose(opt.theta_star[:3], beta_hat)
         assert opt.theta_star[3] == pytest.approx(0.5 * math.log(sigma2))
 
     def test_constrained_sigma_against_grid_search(self, reg2_model):
@@ -87,19 +88,19 @@ class TestClosedForm:
         assert abs(opt.theta_star[2]) < 1e-12
 
 
-def _regression_mode_on(model, A, b):
+def _regression_mode_on(data, k, A, b):
     """The optimizer's former closed form, kept as the reference: surprise
-    maximizer of a polynomial regression under A beta = b (A of full row
-    rank)."""
-    ex = model.extra
-    XtX_inv, beta_hat = ex["XtX_inv"], ex["beta_hat"]
-    n, k, s2 = ex["n"], ex["k"], ex["s2"]
+    maximizer of the order-k polynomial regression on data under A beta = b
+    (A of full row rank)."""
+    X, L_inv, beta_hat, ssr = least_squares(data, k)
+    XtX_inv = L_inv.T @ L_inv
+    n, s2 = data.n, ssr / (data.n - k)
     M = A @ XtX_inv @ A.T
     if np.linalg.matrix_rank(M) < len(A):
         raise ValueError("degenerate constraint direction")
     beta_tilde = beta_hat - XtX_inv @ A.T @ np.linalg.solve(M, A @ beta_hat - b)
     diff = beta_tilde - beta_hat
-    quad = float(diff @ ex["XtX"] @ diff)
+    quad = float(diff @ (X.T @ X) @ diff)
     sigma2 = ((n - k) * s2 + quad) / (n + 1)
     return np.concatenate([beta_tilde, [0.5 * math.log(sigma2)]])
 
@@ -109,7 +110,7 @@ class TestExactMode:
     def test_top_coefficient_zero_equals_reference(self, table2, k):
         model = make_polynomial_regression_model(table2, k)
         A = np.eye(k + 2)[[k]]
-        want = _regression_mode_on(model, A[:, :-1], np.zeros(1))
+        want = _regression_mode_on(table2, k, A[:, :-1], np.zeros(1))
         assert np.array_equal(exact_mode(model, A, np.zeros(1)), want)
         H = coordinate_zero_hypothesis(k, k + 2)
         assert np.array_equal(maximize_surprise(model, H).theta_star, want)
@@ -118,7 +119,7 @@ class TestExactMode:
     def test_two_rows_equal_reference(self, table2):
         model = make_polynomial_regression_model(table2, 3)
         A = np.eye(5)[[2, 3]]
-        want = _regression_mode_on(model, A[:, :-1], np.zeros(2))
+        want = _regression_mode_on(table2, 3, A[:, :-1], np.zeros(2))
         assert np.array_equal(exact_mode(model, A, np.zeros(2)), want)
         assert np.array_equal(closed_form_constrained_mode(model, A[:, :-1]).theta_star, want)
 
@@ -128,6 +129,22 @@ class TestExactMode:
         assert exact_mode(gauss_model, np.eye(1), np.zeros(1)) is None
         # a constraint on log_sigma has no closed form
         assert exact_mode(reg2_model, np.eye(4)[[3]], np.zeros(1)) is None
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_closed_form_survives_a_replaced_kernel(self, table2, k):
+        # how a tracer or a test wraps a model: a new log_kernel, the rest kept
+        model = make_polynomial_regression_model(table2, k)
+        wrapped = dataclasses.replace(model, log_kernel=lambda th: model.log_kernel(th))
+        H = coordinate_zero_hypothesis(k, k + 2)
+        got, want = maximize_surprise(wrapped, H), maximize_surprise(model, H)
+        assert got.method == want.method == "closed-form"
+        assert np.array_equal(got.theta_star, want.theta_star)
+
+    def test_gaussian_closed_form_survives_a_replaced_kernel(self, gauss_model):
+        wrapped = dataclasses.replace(gauss_model, log_kernel=lambda th: gauss_model.log_kernel(th))
+        opt = maximize_surprise(wrapped, Hypothesis())
+        assert opt.method == "closed-form"
+        assert np.array_equal(opt.theta_star, gauss_model.mode)
 
     # a generic model's mode is a start, not an answer: the surprise peaks at u = 2
     GENERIC = StatisticalModel(unbounded_space(("u",)),

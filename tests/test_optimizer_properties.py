@@ -27,7 +27,7 @@ def test_random_consistent_systems(reg_fits, data):
     model, sample = reg_fits[k]
     shift = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=k + 1, max_size=k + 1),
                       label="beta0 - beta_hat")
-    b = A @ (model.extra["beta_hat"] + np.array(shift))
+    b = A @ (model.mode[:-1] + np.array(shift))
     opaque = tuple(lambda th, a=a, c=c: np.asarray(th)[..., : k + 1] @ a - c
                    for a, c in zip(A, b))
     lins = tuple(LinearEquality(np.append(a, 0.0), -c) for a, c in zip(A, b))

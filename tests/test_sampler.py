@@ -177,7 +177,7 @@ class TestSamplePosterior:
         assert not np.array_equal(a.draws, b.draws)
 
     def test_regression_posterior_mean_near_beta_hat(self, reg2_model, reg2_sample):
-        beta_hat = reg2_model.extra["beta_hat"]
+        beta_hat = reg2_model.mode[:-1]
         means = reg2_sample.draws[:, :3].mean(axis=0)
         sds = reg2_sample.draws[:, :3].std(axis=0)
         assert np.all(np.abs(means - beta_hat) < 3.0 * sds)
