@@ -167,10 +167,13 @@ def convolved_truth(ladders: Sequence[TruthLadder], log_v, n_max: int = 512) -> 
     1/n_max of it. Against the uncondensed composition, the error is that
     of the k ladders' own condensations and the k - 2 inner ones,
     (2k - 2)/n_max, where the full joint ladder carries (2k - 1)/n_max.
-    One ladder is read by `eval_truth`; as there, +inf and NaN queries
-    read 1 and -inf queries 0.
+    One ladder is read by `eval_truth`; as there, +inf queries read 1,
+    -inf queries 0, and a NaN query (a row whose log-optima sum -inf and
+    +inf) raises ValueError.
     """
     v = np.atleast_1d(np.asarray(log_v, dtype=float))
+    if np.isnan(v).any():
+        raise ValueError("truth function queried at NaN")
     k = len(ladders)
     if k == 1:
         return np.atleast_1d(eval_truth(ladders[0], v))
@@ -186,7 +189,7 @@ def convolved_truth(ladders: Sequence[TruthLadder], log_v, n_max: int = 512) -> 
     # same order, and so reads exactly 1
     out = (below * masses).sum(axis=1) / (right.w[-1] * masses).sum()
     # as eval_truth reads them
-    out[np.isposinf(v) | np.isnan(v)] = 1.0
+    out[np.isposinf(v)] = 1.0
     out[np.isneginf(v)] = 0.0
     return out
 
@@ -222,7 +225,9 @@ def conjunctive_evalue(c: CompositeStructure, row: int = 0, n_max: int = 512) ->
     grid = c.log_s_star[row]
     if np.any(np.isnan(grid)):
         raise MissingComponentError(f"row {row} has missing component optima")
-    return float(convolved_truth(c.ladders, np.sum(grid), n_max)[0])
+    with np.errstate(invalid="ignore"):  # -inf + inf is NaN, which convolved_truth rejects
+        total = np.sum(grid)
+    return float(convolved_truth(c.ladders, total, n_max)[0])
 
 
 def disjunctive_evalue(c: CompositeStructure, n_max: int = 512) -> float:
@@ -236,7 +241,9 @@ def disjunctive_evalue(c: CompositeStructure, n_max: int = 512) -> float:
     # an unconstrained slot contributes the component's global supremum
     tops = np.array([lad.log_v[-1] for lad in c.ladders])
     grid = np.where(np.isnan(c.log_s_star), tops, c.log_s_star)
-    return float(np.max(convolved_truth(c.ladders, grid.sum(axis=1), n_max)))
+    with np.errstate(invalid="ignore"):  # as in conjunctive_evalue
+        totals = grid.sum(axis=1)
+    return float(np.max(convolved_truth(c.ladders, totals, n_max)))
 
 
 # ---------------------------------------------------------------------------

@@ -86,17 +86,24 @@ class StatisticalModel:
 
     `log_kernel` and `log_reference` must accept arrays of any leading
     shape (..., d) and return shape (...,).  A None reference means flat
-    (log r == 0).  The sampler calls the kernel on speculative batches of
-    shape (chains * PREFETCH * (1 + PREFETCH2), d), many of whose rows no
-    chain moves to, so a kernel must be pure: no side effects, and no
-    dependence on earlier calls.  `proposal_chol` is any factor C with C C'
-    equal to the proposal covariance, not necessarily a lower-triangular
-    Cholesky factor; the polynomial regression's is upper triangular.
-    `mode` is where the sampler's chains and the optimizer's last start
-    begin.  `closed_form(A=None, b=0.0)`, set by the built-in builders,
-    returns the exact surprise maximizer over Theta when A is None, or over
-    A theta = b (A 2-D, of full row rank), and None where the model has no
-    closed form; without it (a generic model) `mode` is only a start.
+    (log r == 0).  The random-walk sampler calls the kernel on speculative
+    batches of shape (chains * PREFETCH * (1 + PREFETCH2), d), many of
+    whose rows no chain moves to, and the independence sampler on a
+    chunk's (chains * CHUNK, d) proposals, so a kernel must be pure: no
+    side effects, and no dependence on earlier calls.  `proposal_chol` is
+    any factor C with C C' equal to the proposal covariance, not
+    necessarily a lower-triangular Cholesky factor; the polynomial
+    regression's is upper triangular.  `mode` is where the sampler's chains
+    and the optimizer's last start begin.  `proposal_df`, set by the
+    built-in builders, is the degrees of freedom nu of a multivariate-t
+    proposal centred at `mode` with factor `proposal_chol`, whose tails
+    are heavier than the posterior's; a model that sets it is sampled by
+    the independence sampler, and must set `mode` and
+    `proposal_chol` too.  `closed_form(A=None, b=0.0)`, set by the
+    built-in builders, returns the exact surprise maximizer over Theta when
+    A is None, or over A theta = b (A 2-D, of full row rank), and None
+    where the model has no closed form; without it (a generic model)
+    `mode` is only a start.
 
     The one evaluation rule, for one point or any batch: `log_kernel_safe`
     is -inf outside the bounds and where the kernel is NaN or +inf, and
@@ -109,6 +116,7 @@ class StatisticalModel:
     log_reference: Optional[Callable] = None
     mode: Optional[np.ndarray] = None
     proposal_chol: Optional[np.ndarray] = None
+    proposal_df: Optional[float] = None
     closed_form: Optional[Callable] = None
 
     def log_kernel_safe(self, theta) -> np.ndarray:
@@ -306,6 +314,7 @@ def make_gaussian_mean_model(m: float, v: float) -> StatisticalModel:
         log_kernel=kernel,
         mode=mode,
         proposal_chol=np.array([[math.sqrt(v)]]),
+        proposal_df=6.0,
         closed_form=lambda A=None, b=0.0: mode if A is None else None,
     )
 
@@ -390,7 +399,10 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
     internally so the space is unbounded.  The surprise function equals
     the posterior density in the (beta, sigma) coordinates.  beta_hat and
     the SSR come from `least_squares`, and the proposal's beta block is
-    sqrt(s2) L^-T, an upper-triangular factor of s2 (X'X)^-1.
+    sqrt(s2) L^-T, an upper-triangular factor of s2 (X'X)^-1.  The t
+    proposal's nu is min(6, n - k - 2): the beta marginal is t with
+    n - k - 1 degrees of freedom, and the sampler's weight k / q stays
+    bounded while nu + k + 2 <= n.
 
     With lam = log_sigma, the log-kernel is
     -n lam - exp(-2 lam) (SSR + |X (beta - beta_hat)|^2) / 2, the Jacobian
@@ -462,6 +474,7 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
         log_reference=reference,
         mode=mode,
         proposal_chol=chol,
+        proposal_df=float(min(6, n - k - 2)),
         closed_form=closed_form,
     )
 

@@ -54,8 +54,11 @@ class TruthLadder:
 
 
 def eval_truth(ladder: TruthLadder, log_v) -> np.ndarray:
-    """Right-continuous evaluation W(v) at log-scale query points."""
+    """Right-continuous evaluation W(v) at log-scale query points; a NaN
+    query raises ValueError."""
     q = np.asarray(log_v, dtype=float)
+    if np.isnan(q).any():
+        raise ValueError("truth function queried at NaN")
     idx = np.searchsorted(ladder.log_v, q, side="right")
     padded = np.concatenate([[0.0], ladder.w])
     out = padded[idx]

@@ -292,6 +292,15 @@ class TestCompositeEvalues:
         with pytest.raises(MissingComponentError):
             conjunctive_evalue(c)
 
+    def test_infinite_optima_summing_to_nan_raise(self):
+        # -inf + inf is NaN: neither reading 1 nor 0 is an answer
+        parts = (two_point(1, 2), two_point(3, 4))
+        c = CompositeStructure(parts, np.array([[-np.inf, np.inf], [0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            conjunctive_evalue(c, 0)
+        with pytest.raises(ValueError):
+            disjunctive_evalue(c)
+
     def test_disjunction_takes_best_row(self):
         parts = (two_point(1, 2), two_point(3, 4))
         grid = np.array(
@@ -390,12 +399,18 @@ class TestQueryRead:
 
     def test_one_ladder_and_edge_queries_match_eval_truth(self):
         lad = random_ladder([-np.inf, -1.0, 0.5], 3)
-        v = np.array([-np.inf, -2.0, -1.0, 0.0, 0.5, np.inf, np.nan])
+        v = np.array([-np.inf, -2.0, -1.0, 0.0, 0.5, np.inf])
         assert np.array_equal(convolved_truth([lad], v), eval_truth(lad, v))
-        # the joint ladder's reading of infinite and NaN queries, at any k
-        edges = v[[0, 5, 6]]
+        # the joint ladder's reading of infinite queries, at any k
+        edges = v[[0, 5]]
         for k in (2, 3):
             assert np.array_equal(convolved_truth([lad] * k, edges), eval_truth(convolve_all([lad] * k), edges))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_nan_query_raises(self, k):
+        lad = random_ladder([-np.inf, -1.0, 0.5], 3)
+        with pytest.raises(ValueError):
+            convolved_truth([lad] * k, np.array([0.0, np.nan]))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_within_one_condensation_of_the_joint_ladder(self, seed):

@@ -153,6 +153,7 @@ class TestEvalue:
             lambda th: gauss_model.log_kernel(th) + 11.0,
             mode=gauss_model.mode,
             proposal_chol=gauss_model.proposal_chol,
+            proposal_df=gauss_model.proposal_df,
             closed_form=gauss_model.closed_form,
         )
         cfg = SamplerConfig(seed=42, chains=4, draws=50_000, burnin=2_000)

@@ -1,22 +1,31 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fbst
 from fbst import (
     ParameterSpace,
     SamplerConfig,
     StatisticalModel,
     SurpriseSample,
     effective_sample_size,
+    evalue,
+    gaussian_mean_evalue_oracle,
     make_gaussian_mean_model,
     make_polynomial_regression_model,
     model_from_spec,
+    point_hypothesis,
     sample_posterior,
 )
+from fbst import sampler
 from fbst.sampler import (
     CHUNK,
     PREFETCH,
@@ -106,6 +115,26 @@ def _nonfinite_kernel(theta):
     x = th[..., 0]
     with np.errstate(invalid="ignore"):
         return np.where(x > 1.5, np.inf, np.where(x < -1.5, np.nan, -0.5 * (th * th).sum(axis=-1)))
+
+
+def _three_level_kernel(theta):
+    th = np.asarray(theta)[..., 0]
+    return np.log(np.array([0.2, 0.3, 0.5])[np.clip(th.astype(int), 0, 2)])
+
+
+# a three-level step density on [0, 3]
+THREE_LEVEL_MODEL = StatisticalModel(ParameterSpace(("u",), np.array([0.0]), np.array([3.0])),
+                                     _three_level_kernel, mode=np.array([1.5]))
+
+
+def _assert_binned_balance(sample):
+    """The binned flows of a reversible chain on THREE_LEVEL_MODEL balance."""
+    bins = np.clip(sample.draws[:, 0].astype(int), 0, 2)
+    for a in range(3):
+        for b in range(a + 1, 3):
+            ab = np.sum((bins[:-1] == a) & (bins[1:] == b))
+            ba = np.sum((bins[:-1] == b) & (bins[1:] == a))
+            assert abs(ab - ba) <= 3.0 * math.sqrt(ab + ba + 1)
 
 
 NONFINITE_MODEL = StatisticalModel(ParameterSpace(("u", "v"), np.full(2, -np.inf), np.full(2, np.inf)),
@@ -213,23 +242,8 @@ class TestSamplePosterior:
         assert not gauss_sample.stationarity_flags.any()
 
     def test_detailed_balance_on_binned_chain(self):
-        # three-level step density; binned flows of a reversible chain balance
-        probs = np.array([0.2, 0.3, 0.5])
-        sp = ParameterSpace(("u",), np.array([0.0]), np.array([3.0]))
-
-        def kernel(th):
-            th = np.asarray(th)[..., 0]
-            idx = np.clip(th.astype(int), 0, 2)
-            return np.log(probs[idx])
-
-        model = StatisticalModel(sp, kernel, mode=np.array([1.5]))
-        s = sample_posterior(model, SamplerConfig(seed=9, chains=1, draws=60_000, burnin=5_000))
-        bins = np.clip(s.draws[:, 0].astype(int), 0, 2)
-        for a in range(3):
-            for b in range(a + 1, 3):
-                ab = np.sum((bins[:-1] == a) & (bins[1:] == b))
-                ba = np.sum((bins[:-1] == b) & (bins[1:] == a))
-                assert abs(ab - ba) <= 3.0 * math.sqrt(ab + ba + 1)
+        s = sample_posterior(THREE_LEVEL_MODEL, SamplerConfig(seed=9, chains=1, draws=60_000, burnin=5_000))
+        _assert_binned_balance(s)
 
     def test_closed_bounds_raise_no_warning(self):
         model, _ = model_from_spec(BETA_SPEC)
@@ -270,6 +284,11 @@ class TestSamplePosterior:
             SamplerConfig(scale=-1.0)
 
 
+def _walk(model):
+    """The model without its t proposal, so that the random walk samples it."""
+    return dataclasses.replace(model, proposal_df=None)
+
+
 def _regression(k):
     return lambda table2: make_polynomial_regression_model(table2, k)
 
@@ -283,7 +302,7 @@ BIT_IDENTITY_CASES = {
     "thin3-order1": (_regression(1), SamplerConfig(seed=5, chains=2, draws=1_000, burnin=200, thin=3)),
     # 777 + 3 * 1000 steps: several chunks, the last one partial
     "chunks-metropolis": (_regression(2), SamplerConfig(seed=8, chains=3, draws=1_000, burnin=777, thin=3)),
-    # the benchmark's select-fbst and gaussian-batch samplers
+    # the shapes of the benchmark's select-fbst and gaussian-batch samplers
     "select-fbst-order5": (_regression(5), SamplerConfig(seed=9, chains=4, draws=1_000, burnin=500)),
     "gaussian-batch": (lambda _: make_gaussian_mean_model(0.05, 1.0 / 200), SamplerConfig(
         seed=10, chains=2, draws=1_000, burnin=500)),
@@ -309,7 +328,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("case", sorted(BIT_IDENTITY_CASES))
     def test_matches_reference(self, case, table2):
         build, cfg = BIT_IDENTITY_CASES[case]
-        model = build(table2)
+        model = _walk(build(table2))
         got = sample_posterior(model, cfg)
         want = _reference_sample(model, cfg)
         assert np.array_equal(got.draws, want.draws)
@@ -321,7 +340,7 @@ class TestBitIdentity:
         # The regression kernel's matmul rounds a batch of one row (the
         # reference's one chain) differently from a batch of several, in the
         # last bits; with two or more chains both are batches of several.
-        model = make_polynomial_regression_model(table2, 3)
+        model = _walk(make_polynomial_regression_model(table2, 3))
         cfg = SamplerConfig(seed=14, chains=1, draws=1_000, burnin=500)
         got, want = sample_posterior(model, cfg), _reference_sample(model, cfg)
         assert np.array_equal(got.draws, want.draws)
@@ -365,7 +384,7 @@ def _counting(model):
 
 class TestPrefetch:
     def test_rounds_batch_kernel_calls(self, table2):
-        model, shapes = _counting(make_polynomial_regression_model(table2, 3))
+        model, shapes = _counting(_walk(make_polynomial_regression_model(table2, 3)))
         cfg = SamplerConfig(seed=0, chains=4, draws=1_000, burnin=500)
         sample_posterior(model, cfg)
         steps = cfg.burnin + cfg.draws
@@ -379,7 +398,7 @@ class TestPrefetch:
     def test_round_takes_two_acceptances(self):
         # one acceptance a round would take at least as many rounds as the
         # busiest chain accepts
-        model, shapes = _counting(make_gaussian_mean_model(0.05, 1.0 / 200))
+        model, shapes = _counting(_walk(make_gaussian_mean_model(0.05, 1.0 / 200)))
         cfg = BIT_IDENTITY_CASES["gaussian-batch"][1]
         s = sample_posterior(model, cfg)
         steps = cfg.burnin + cfg.draws * cfg.thin
@@ -396,6 +415,108 @@ class TestPrefetch:
         assert np.all((s.draws[:, 0] > 0.0) & (s.draws[:, 0] < 1.0))
 
 
+def _assert_same_sample(a, b):
+    assert np.array_equal(a.draws, b.draws)
+    assert np.array_equal(a.log_surprise, b.log_surprise)
+    assert np.array_equal(a.acceptance_rates, b.acceptance_rates)
+
+
+# prints a digest of one seeded order-5 independence sample with 8 chains
+BLAS_PROBE = """
+import hashlib
+from fbst import SamplerConfig, make_polynomial_regression_model, sample_posterior
+from fbst.modelsel import benchmark_dataset
+model = make_polynomial_regression_model(benchmark_dataset(), 5)
+s = sample_posterior(model, SamplerConfig(seed=3, chains=8, draws=1000, burnin=500))
+print(hashlib.sha256(s.draws.tobytes() + s.log_surprise.tobytes()).hexdigest())
+"""
+
+
+class TestIndependence:
+    def test_gaussian_moments(self):
+        model = make_gaussian_mean_model(1.5, 4.0)
+        s = sample_posterior(model, SamplerConfig(seed=3, chains=4, draws=50_000, burnin=2_000))
+        assert abs(s.draws.mean() - 1.5) < 0.02
+        assert abs(s.draws.var() / 4.0 - 1.0) < 0.02
+
+    def test_detailed_balance_on_binned_chain(self):
+        model = dataclasses.replace(THREE_LEVEL_MODEL, proposal_chol=np.eye(1), proposal_df=6.0)
+        s = sample_posterior(model, SamplerConfig(seed=9, chains=1, draws=60_000, burnin=5_000))
+        _assert_binned_balance(s)
+        # the chain that keeps its first weight and accepts against it is
+        # reversible too, but for another density
+        bins = np.clip(s.draws[:, 0].astype(int), 0, 2)
+        assert np.allclose(np.bincount(bins) / bins.size, [0.2, 0.3, 0.5], rtol=0.0, atol=0.02)
+
+    def test_ess_per_draw_five_times_the_random_walk(self, table2):
+        model = make_polynomial_regression_model(table2, 3)
+        cfg = SamplerConfig(seed=1, chains=4, draws=10_000, burnin=2_000)
+        walk, independent = (effective_sample_size(sample_posterior(m, cfg)) for m in (_walk(model), model))
+        assert independent >= 5.0 * walk
+
+    @pytest.mark.parametrize("seed", [43, 44, 45])
+    def test_gaussian_oracle(self, seed):
+        # acceptance criterion c3's points, config and tolerance, at other
+        # seeds than its 42
+        model = make_gaussian_mean_model(0.0, 1.0)
+        sample = sample_posterior(model, SamplerConfig(seed=seed, chains=4, draws=50_000, burnin=10_000))
+        for theta_h in (0.0, 0.5, 1.0, 2.0):
+            ev = evalue(model, point_hypothesis([theta_h]), sample).ev
+            assert abs(ev - gaussian_mean_evalue_oracle(0.0, 1.0, theta_h)) <= 0.01
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_seed_determinism(self, table2, k):
+        model = make_polynomial_regression_model(table2, k)
+        cfg = SamplerConfig(seed=4, chains=3, draws=1_000, burnin=300, thin=2)
+        _assert_same_sample(sample_posterior(model, cfg), sample_posterior(model, cfg))
+
+    def test_chunk_changes_no_gaussian_draw(self, monkeypatch):
+        # the gaussian kernel is elementwise; the regression's product
+        # rounds by batch shape, so its chunking is checked for determinism
+        model = make_gaussian_mean_model(1.0, 2.0)
+        cfg = SamplerConfig(seed=5, chains=3, draws=1_000, burnin=250, thin=2)
+        want = sample_posterior(model, cfg)
+        monkeypatch.setattr(sampler, "CHUNK", 100)
+        _assert_same_sample(sample_posterior(model, cfg), want)
+
+    def test_nonfinite_kernel_rejected(self):
+        model = dataclasses.replace(NONFINITE_MODEL, proposal_chol=np.eye(2), proposal_df=4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = sample_posterior(model, SamplerConfig(seed=15, chains=3, draws=1_000, burnin=200))
+        assert np.all(np.abs(s.draws[:, 0]) <= 1.5)
+        assert np.all(np.isfinite(s.log_surprise))
+
+    def test_stuck_chain_raises(self):
+        sp = ParameterSpace(("u",), np.array([-np.inf]), np.array([np.inf]))
+
+        def kernel(th):
+            return np.where(np.asarray(th)[..., 0] == 0.0, 0.0, -np.inf)
+
+        model = StatisticalModel(sp, kernel, mode=np.zeros(1), proposal_chol=np.eye(1), proposal_df=6.0)
+        with pytest.raises(SamplerStuckError):
+            sample_posterior(model, SamplerConfig(seed=0, chains=1, draws=1_000, burnin=0))
+
+    def test_proposal_df_chooses_the_sampler(self):
+        # a hand-built model with a mode and a factor but no t proposal is
+        # sampled by the random walk
+        gauss = make_gaussian_mean_model(1.0, 2.0)
+        cfg = SamplerConfig(seed=1, chains=2, draws=1_000, burnin=100)
+        walk = _reference_sample(gauss, cfg)
+        _assert_same_sample(sample_posterior(_walk(gauss), cfg), walk)
+        assert not np.array_equal(sample_posterior(gauss, cfg).draws, walk.draws)
+
+    def test_draws_do_not_depend_on_blas_threads(self):
+        # a chunk's proposals are one (chains * CHUNK, d) product, and the
+        # regression kernel another
+        src = str(Path(fbst.__file__).resolve().parents[1])
+        digests = {subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True,
+                                  check=True, env=dict(os.environ, PYTHONPATH=src,
+                                                       OPENBLAS_NUM_THREADS=threads)).stdout
+                   for threads in ("1", "2")}
+        assert len(digests) == 1
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -408,19 +529,25 @@ def _peak_bytes(fn, *args):
 class TestRandomnessMemory:
     BOUND = 400_000  # bytes
 
-    def test_peak_bounded_by_chunk_not_steps(self):
+    @pytest.mark.parametrize("sampler_name", ["metropolis", "independence"])
+    def test_peak_bounded_by_chunk_not_steps(self, sampler_name):
         # 20_000 steps per chain, 1000 retained: the reference holds every
-        # step's randomness at once, the chunked sampler CHUNK steps of it.
+        # step's randomness at once, the chunked samplers CHUNK steps of it.
         # Measured peaks (numpy 2.4, CHUNK = 1024, PREFETCH = 6,
-        # PREFETCH2 = 4): reference 962 kB, sample_posterior 304 kB.
+        # PREFETCH2 = 4): reference 962 kB, random walk 304 kB,
+        # independence sampler 265 kB.
         model = make_gaussian_mean_model(0.0, 1.0)
+        if sampler_name == "metropolis":
+            model = _walk(model)
         cfg = SamplerConfig(seed=0, chains=2, draws=1_000, burnin=0, thin=20)
         # a process's first sample imports modules lazily (about 700 kB of
         # module objects), which is not sampler memory; run alone, this test
         # would measure that too
         sample_posterior(model, cfg)
         assert _peak_bytes(sample_posterior, model, cfg) < self.BOUND
-        assert _peak_bytes(_reference_sample, model, cfg) > self.BOUND
+        if sampler_name == "metropolis":
+            # the reference, a random walk, does not depend on the case
+            assert _peak_bytes(_reference_sample, model, cfg) > self.BOUND
 
 
 class TestEffectiveSampleSize:

@@ -99,6 +99,14 @@ class TestTruthLadder:
         assert eval_truth(ladder, -np.inf) == 0.0
         assert eval_truth(ladder, np.inf) == 1.0
 
+    def test_nan_query_raises(self):
+        # searchsorted puts NaN after every support, which read as full mass
+        ladder = four_atom_ladder()
+        with pytest.raises(ValueError):
+            eval_truth(ladder, np.nan)
+        with pytest.raises(ValueError):
+            eval_truth(ladder, np.array([0.0, np.nan]))
+
     def test_single_atom(self):
         ladder = TruthLadder(np.array([0.0]), np.array([1.0]))
         assert eval_truth(ladder, -0.1) == 0.0
