@@ -88,22 +88,22 @@ class StatisticalModel:
     shape (..., d) and return shape (...,).  A None reference means flat
     (log r == 0).  The random-walk sampler calls the kernel on speculative
     batches of shape (chains * PREFETCH * (1 + PREFETCH2), d), many of
-    whose rows no chain moves to, and the independence sampler on a
-    chunk's (chains * CHUNK, d) proposals, so a kernel must be pure: no
-    side effects, and no dependence on earlier calls.  `proposal_chol` is
-    any factor C with C C' equal to the proposal covariance, not
+    whose rows no chain moves to, so a kernel must be pure: no side
+    effects, and no dependence on earlier calls.  `proposal_chol` is any
+    factor C with C C' equal to the random walk's proposal covariance, not
     necessarily a lower-triangular Cholesky factor; the polynomial
-    regression's is upper triangular.  `mode` is where the sampler's chains
-    and the optimizer's last start begin.  `proposal_df`, set by the
-    built-in builders, is the degrees of freedom nu of a multivariate-t
-    proposal centred at `mode` with factor `proposal_chol`, whose tails
-    are heavier than the posterior's; a model that sets it is sampled by
-    the independence sampler, and must set `mode` and
-    `proposal_chol` too.  `closed_form(A=None, b=0.0)`, set by the
-    built-in builders, returns the exact surprise maximizer over Theta when
-    A is None, or over A theta = b (A 2-D, of full row rank), and None
-    where the model has no closed form; without it (a generic model)
-    `mode` is only a start.
+    regression's is upper triangular.  `mode` is where the random walk's
+    chains and the optimizer's last start begin.
+
+    Two closures, set by the built-in builders, carry a family's exact
+    calculus.  `closed_form(A=None, b=0.0)` returns the exact surprise
+    maximizer over Theta when A is None, or over A theta = b (A 2-D, of
+    full row rank), and None where the model has no closed form; without
+    it (a generic model) `mode` is only a start.  `draw(rng, size)`
+    returns `size` iid points of the posterior as a (size, d) array, read
+    from the numpy Generator `rng`; a model that sets it is sampled by
+    these exact draws, and any other (`dataclasses.replace(model,
+    draw=None)` included) by the random walk.
 
     The one evaluation rule, for one point or any batch: `log_kernel_safe`
     is -inf outside the bounds and where the kernel is NaN or +inf, and
@@ -116,8 +116,8 @@ class StatisticalModel:
     log_reference: Optional[Callable] = None
     mode: Optional[np.ndarray] = None
     proposal_chol: Optional[np.ndarray] = None
-    proposal_df: Optional[float] = None
     closed_form: Optional[Callable] = None
+    draw: Optional[Callable] = None
 
     def log_kernel_safe(self, theta) -> np.ndarray:
         """The rule's log-kernel; log(0) and NaN are values here, so numpy
@@ -298,7 +298,7 @@ def make_gaussian_mean_model(m: float, v: float) -> StatisticalModel:
     if not 0.0 < v < math.inf:
         raise ValueError("variance must be positive and finite")
     space = unbounded_space(("theta",))
-    neg_2v = -2.0 * v
+    neg_2v, sd = -2.0 * v, math.sqrt(v)
 
     def kernel(theta):
         # -((theta - m)**2) / (2v) bit for bit: **2 is a square, and IEEE
@@ -308,14 +308,20 @@ def make_gaussian_mean_model(m: float, v: float) -> StatisticalModel:
         dev /= neg_2v
         return dev
 
+    def draw(rng, size):
+        theta = rng.standard_normal((size, 1))
+        theta *= sd
+        theta += m
+        return theta
+
     mode = np.array([m])
     return StatisticalModel(
         space=space,
         log_kernel=kernel,
         mode=mode,
-        proposal_chol=np.array([[math.sqrt(v)]]),
-        proposal_df=6.0,
+        proposal_chol=np.array([[sd]]),
         closed_form=lambda A=None, b=0.0: mode if A is None else None,
+        draw=draw,
     )
 
 
@@ -398,11 +404,12 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
     Parameters are (b0..bk, log_sigma); sigma is handled as log(sigma)
     internally so the space is unbounded.  The surprise function equals
     the posterior density in the (beta, sigma) coordinates.  beta_hat and
-    the SSR come from `least_squares`, and the proposal's beta block is
-    sqrt(s2) L^-T, an upper-triangular factor of s2 (X'X)^-1.  The t
-    proposal's nu is min(6, n - k - 2): the beta marginal is t with
-    n - k - 1 degrees of freedom, and the sampler's weight k / q stays
-    bounded while nu + k + 2 <= n.
+    the SSR come from `least_squares`, and the random walk's beta block is
+    sqrt(s2) L^-T, an upper-triangular factor of s2 (X'X)^-1.  `draw` is
+    the exact posterior (Gelman et al., Bayesian Data Analysis, 3rd ed.,
+    14.2): sigma^2 = SSR / g with g ~ chi2(n - k - 1), then
+    beta = beta_hat + sigma z' L^-1 with z ~ N(0, I), whose covariance
+    given sigma is sigma^2 L^-T L^-1 = sigma^2 (X'X)^-1.
 
     With lam = log_sigma, the log-kernel is
     -n lam - exp(-2 lam) (SSR + |X (beta - beta_hat)|^2) / 2, the Jacobian
@@ -468,14 +475,24 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
         sigma2 = ((n - k) * s2 + float(diff @ XtX @ diff)) / (n + 1)
         return np.concatenate([beta_tilde, [0.5 * math.log(sigma2)]])
 
+    def draw(rng, size):
+        sigma = np.sqrt(ssr / rng.chisquare(n - k - 1, size))
+        theta = np.empty((size, k + 2))
+        beta = theta[:, : k + 1]
+        np.matmul(rng.standard_normal((size, k + 1)), L_inv, out=beta)
+        beta *= sigma[:, None]
+        beta += beta_hat
+        np.log(sigma, out=theta[:, k + 1])
+        return theta
+
     return StatisticalModel(
         space=space,
         log_kernel=kernel,
         log_reference=reference,
         mode=mode,
         proposal_chol=chol,
-        proposal_df=float(min(6, n - k - 2)),
         closed_form=closed_form,
+        draw=draw,
     )
 
 

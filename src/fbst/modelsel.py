@@ -79,8 +79,11 @@ def penalty_factor(criterion: str, d: int, n: int) -> float:
 
 def aic(data: Dataset, k: int) -> float:
     """-2 maximized Gaussian log-likelihood + 2d, with d = k + 2."""
-    sigma2 = empirical_error(data, k)
-    n = data.n
+    return _aic(empirical_error(data, k), data.n, k)
+
+
+def _aic(sigma2: float, n: int, k: int) -> float:
+    """`aic` from the order-k fit's SSR/n, sigma2."""
     loglik = -(n / 2.0) * math.log(2.0 * math.pi * sigma2) - n / 2.0
     return -2.0 * loglik + 2.0 * (k + 2)
 
@@ -144,7 +147,7 @@ def selection_table(
     for k in range(k_max + 1):
         r_emp = empirical_error(data, k)
         penalized = {f"r_{c}": r_emp * penalty_factor(c, k + 2, n) for c in CRITERIA}
-        rows.append(SelectionRow(order=k, r_emp=r_emp, **penalized, aic=aic(data, k)))
+        rows.append(SelectionRow(order=k, r_emp=r_emp, **penalized, aic=_aic(r_emp, n, k)))
     if with_evalues:
         base = sampler_cfg or SamplerConfig()
         for row in rows:

@@ -85,11 +85,20 @@ class Optimum:
     boundary_flag: bool = False
 
 
+def _on_bound(theta, bounds) -> bool:
+    """`np.isclose(theta, bounds).any()`, written out for one point:
+    |t - b| <= 1e-8 + 1e-5 |b| at a finite bound b, t == b at an infinite
+    one; a NaN coordinate is on no bound."""
+    for t, b in zip(theta.tolist(), bounds.tolist()):
+        if (abs(t - b) <= 1e-8 + 1e-5 * abs(b)) if math.isfinite(b) else t == b:
+            return True
+    return False
+
+
 def _finish(model, H, theta, method, restarts=0) -> Optimum:
     theta = np.asarray(theta, dtype=float)
     eq_res, ineq_res = H.residuals(theta)
-    lo, hi = model.space.lower, model.space.upper
-    at_boundary = bool(np.any(np.isclose(theta, lo) | np.isclose(theta, hi)))
+    at_boundary = _on_bound(theta, model.space.lower) or _on_bound(theta, model.space.upper)
     return Optimum(
         log_s_star=float(model.log_surprise_safe(theta)),
         theta_star=theta,

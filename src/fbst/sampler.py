@@ -1,30 +1,16 @@
-"""Seeded posterior sampling via MCMC and basic convergence diagnostics.
+"""Seeded posterior sampling and basic convergence diagnostics.
 
-Two Metropolis-Hastings samplers, chosen by the model: the independence
-sampler on a model that sets `proposal_df` (the built-in families) and
-random-walk Metropolis on any other.  Each chain draws its randomness from
-its own child of `SeedSequence(seed).spawn(chains)`, so serial and
-(hypothetical) parallel execution produce bit-identical output for a fixed
-model and configuration.  Both generate randomness `CHUNK` steps at a
-time, so their buffers take O(CHUNK x chains x d) memory whatever the step
-count, and both retain draws at each chunk's end from the steps each chain
-accepted there.
+The model picks the sampler: exact iid draws on a model that sets `draw`
+(the built-in families), random-walk Metropolis on any other.  Each chain
+draws its randomness from its own child of `SeedSequence(seed).spawn(chains)`,
+so serial and (hypothetical) parallel execution produce bit-identical
+output for a fixed model and configuration, and chain c's draws do not
+depend on how many chains run.
 
-Independence Metropolis-Hastings (Tierney 1994).  Each proposal is
-theta = mode + T_SCALE C z sqrt(nu / g), with C the model's
-`proposal_chol`, nu its `proposal_df`, z ~ N(0, I_d) and g ~ chi2_nu: a
-multivariate t at the mode, whatever the chain's state.  Its weight is
-w = log k(theta) + ((nu + d) / 2) log1p(|z|^2 / g), the log-kernel less the
-proposal's log-density up to a constant.  A chain starts at the mode, where
-the second term is 0, and a step accepts when log u < w_prop - w_cur.
-Chain c reads three streams, the children of
-`SeedSequence(seed).spawn(chains)[c].spawn(3)`: its normals (d a step),
-its mixing variables g, and its uniforms, each in order, so CHUNK changes
-no draw of an elementwise kernel.  A chunk builds every chain's proposals
-in preallocated buffers and makes one kernel call on all `chains x n` of
-them; each chain then scans its weights against its log-uniforms as Python
-floats, and its state is its last accepted proposal.  There is no
-adaptation: burn-in steps run and are discarded.
+Exact draws.  Chain c takes `draws` points from one call of the model's
+`draw` on `default_rng(SeedSequence(seed).spawn(chains)[c])`; there is no
+burn-in, thinning or proposal scale, and every draw counts as accepted.
+One kernel call on all chains' points gives their log-kernels.
 
 Random-walk Metropolis.  Chain c's stream, from
 `default_rng(SeedSequence(seed).spawn(chains)[c])`, is laid out as
@@ -32,7 +18,9 @@ Random-walk Metropolis.  Chain c's stream, from
 sampler reads each segment through its own generator, positioned at the
 segment's start by generating and discarding the normals before it
 (ziggurat normals consume a variable amount of the bit stream, so the
-generator cannot simply be advanced).
+generator cannot simply be advanced).  Randomness is generated `CHUNK`
+steps at a time, so the buffers take O(CHUNK x chains x d) memory whatever
+the step count.
 
 Each chunk's moves, scaled by each chain's current proposal scale, sit in
 one per-chain moves buffer, and each chain's log-uniforms are converted to
@@ -76,9 +64,6 @@ CHUNK = 1024
 # samplers (see the README's Sampling section).
 PREFETCH = 6
 PREFETCH2 = 4
-# The independence sampler's proposal is t_nu(mode, T_SCALE^2 C C'): a
-# little wider than the posterior's own scale.
-T_SCALE = 1.3
 
 
 class SamplerStuckError(RuntimeError):
@@ -98,10 +83,10 @@ class SamplerConfig:
     """MCMC configuration; identical model, config and seed give identical
     draws.
 
-    `algorithm` names Metropolis-Hastings, the one algorithm; its proposal
-    is the model's: an independence t where the model sets `proposal_df`,
-    a random walk elsewhere.  `scale` is the random walk's initial proposal
-    scale; the independence sampler does not read it.
+    `algorithm` names the random walk, the one MCMC algorithm; a model
+    that sets `draw` is sampled by exact draws instead, which read `chains`,
+    `draws` and `seed` only: `burnin`, `thin` and `scale` have no effect
+    on them.  `scale` is the random walk's initial proposal scale.
     """
 
     algorithm: str = "metropolis"
@@ -132,6 +117,8 @@ class SurpriseSample:
     acceptance_rates: np.ndarray  # per chain
     config: SamplerConfig
     stationarity_flags: np.ndarray = field(default_factory=lambda: np.array([], dtype=bool))
+    # (log_surprise, config, ESS) as `effective_sample_size` last computed it
+    _ess: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -221,75 +208,36 @@ def _window_end(t: int, burnin: int, block: int, limit: int) -> int:
     return limit
 
 
-class _Retention:
-    """Each chain's retained draws and log-kernels, and its acceptances after
-    burn-in, filled in at each chunk's end from the steps it accepted."""
-
-    def __init__(self, cfg: SamplerConfig, d: int):
-        self.cfg, self.keep = cfg, 0
-        self.draws = np.empty((cfg.chains, cfg.draws, d))
-        self.lks = np.empty((cfg.chains, cfg.draws))
-        self.accepted_after = np.zeros(cfg.chains)
-
-    def chunk(self, first: int, n: int) -> None:
-        """Start the chunk of steps first .. first + n - 1."""
-        cfg = self.cfg
-        self.lo = min(max(cfg.burnin - first, 0), n)
-        self.kept = np.arange(self.lo + (cfg.burnin - first - self.lo) % cfg.thin, n, cfg.thin)
-        self.rows = slice(self.keep, self.keep + self.kept.size)
-        self.keep += self.kept.size
-
-    def chain(self, c: int, at: np.ndarray, states=None, lks=None) -> None:
-        """Chain c accepted at the chunk's steps `at`, ascending; states[0]
-        and lks[0] are its chunk-start state and log-kernel, and states[i + 1]
-        and lks[i + 1] those it reached at step at[i].  A chunk that keeps
-        no draw (`kept` is empty) needs neither."""
-        self.accepted_after[c] += at.size - np.searchsorted(at, self.lo)
-        if not self.kept.size:
-            return
-        last = np.searchsorted(at, self.kept, side="right")
-        self.draws[c, self.rows] = states[last]
-        self.lks[c, self.rows] = lks[last]
-
-
 def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSample:
     """Run the model's sampler (see the module docstring) and return
     retained draws with logS."""
-    d = model.space.dimension
-    start = _initial_point(model)
-    start_lk = float(model.log_kernel_safe(start))
-    if not np.isfinite(start_lk):
-        raise InitializationError("posterior kernel not finite at the initial point")
-
     space = model.space
-    # log_kernel_safe's bounds mask is needed only on bounded spaces; here
-    # the acceptance test rejects the NaN and +inf it would map to -inf, and
-    # the mask would cost 12 us a round against a 3 us gaussian-mean kernel
+    # log_kernel_safe's bounds mask is needed only on bounded spaces: the
+    # random walk's acceptance test rejects the NaN and +inf it would map to
+    # -inf, and the mask would cost 12 us a round against a 3 us
+    # gaussian-mean kernel; exact draws are posterior points, where the
+    # kernel is finite
     unbounded = np.all(space.lower == -np.inf) and np.all(space.upper == np.inf)
     kernel = model.log_kernel if unbounded else model.log_kernel_safe
-    kept = _Retention(cfg, d)
-    run = _metropolis if model.proposal_df is None else _independence
-    run(model, kernel, cfg, start, start_lk, kept)
+    run = _metropolis if model.draw is None else _exact
+    retained, lks, rates = run(model, kernel, cfg)
 
-    rates = kept.accepted_after / max(cfg.draws * cfg.thin, 1)
-    if np.any(rates == 0.0):
-        raise SamplerStuckError("a chain rejected every proposal after adaptation")
-
-    retained = kept.draws
+    d = space.dimension
     draws = retained.reshape(cfg.chains * cfg.draws, d)
     # logS = kernel - reference on the retained draws
-    ref = model.log_reference_at(draws)
-    log_s = kept.lks.reshape(-1) - ref
+    log_s = lks.reshape(-1) - model.log_reference_at(draws)
 
     # stationarity smoke test (flag, not error): compare per-coordinate
-    # means of the two halves of each chain against 4 standard errors
+    # means of the two halves of each chain against 4 standard errors,
+    # reduced along the contiguous last axis of a (d, chains, half) copy
     flags = np.zeros(d, dtype=bool)
     half = cfg.draws // 2
     if half >= 10:
-        first = retained[:, :half, :].reshape(-1, d)
-        second = retained[:, half:2 * half, :].reshape(-1, d)
-        se = np.sqrt(first.var(axis=0) / half + second.var(axis=0) / half) + 1e-300
-        flags = np.abs(first.mean(axis=0) - second.mean(axis=0)) > 4.0 * se
+        series = retained.transpose(2, 0, 1)
+        first = series[..., :half].reshape(d, -1)
+        second = series[..., half:2 * half].reshape(d, -1)
+        se = np.sqrt(first.var(axis=-1) / half + second.var(axis=-1) / half) + 1e-300
+        flags = np.abs(first.mean(axis=-1) - second.mean(axis=-1)) > 4.0 * se
 
     return SurpriseSample(
         draws=draws,
@@ -300,69 +248,22 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
     )
 
 
-def _independence(model, kernel, cfg, start, start_lk, kept: _Retention) -> None:
-    """Independence Metropolis-Hastings from the model's t proposal; see the
-    module docstring."""
-    chains, d = cfg.chains, start.size
-    nu = float(model.proposal_df)
-    power = 0.5 * (nu + d)
-    factor = T_SCALE * np.asarray(model.proposal_chol, dtype=float).T
-    steps = cfg.burnin + cfg.draws * cfg.thin
-    streams = [[np.random.default_rng(s) for s in seq.spawn(3)]
-               for seq in np.random.SeedSequence(cfg.seed).spawn(chains)]
-    # flat buffers: a chunk of n steps uses their first chains * n rows, as
-    # contiguous (chains, n, ...) arrays
-    size = chains * min(CHUNK, steps)
-    z_buf, prop_buf = np.empty((size, d)), np.empty((size, d))
-    g_buf, t_buf = np.empty(size), np.empty(size)
-    current = [start] * chains
-    cur_lk = [start_lk] * chains
-    cur_w = [start_lk] * chains  # the weight's t term is 0 at the mode
-
-    for first in range(0, steps, CHUNK):
-        n = min(CHUNK, steps - first)
-        z = z_buf[:chains * n].reshape(chains, n, d)
-        g = g_buf[:chains * n].reshape(chains, n)
-        t = t_buf[:chains * n].reshape(chains, n)
-        prop = prop_buf[:chains * n]
-        log_us = []
-        for c, (normals, mixing, uniforms) in enumerate(streams):
-            normals.standard_normal(out=z[c])
-            mixing.standard_gamma(0.5 * nu, out=g[c])
-            log_us.append(np.log(uniforms.random(n)).tolist())
-        g *= 2.0  # chi2_nu, as Generator.chisquare draws it
-        np.einsum("...i,...i->...", z, z, out=t)
-        t /= g
-        np.log1p(t, out=t)
-        t *= power  # the weight's t term, ((nu + d) / 2) log1p(|z|^2 / g)
-        np.divide(nu, g, out=g)
-        np.sqrt(g, out=g)
-        np.matmul(z.reshape(-1, d), factor, out=prop)
-        prop *= g.reshape(-1, 1)
-        prop += model.mode
-        # log(0) and NaN are kernel values here, as on the random walk
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lk = np.asarray(kernel(prop), dtype=float).reshape(chains, n)
-        t += lk
-
-        kept.chunk(first, n)
-        for c in range(chains):
-            u, now, at = log_us[c], cur_w[c], []
-            for j, w in enumerate(t[c].tolist()):
-                # now is finite, so NaN compares False; +inf is rejected
-                if u[j] < w - now and w < math.inf:
-                    at.append(j)
-                    now = w
-            at = np.array(at, dtype=np.intp)
-            states = np.concatenate([current[c][None], prop[c * n + at]])
-            lks = np.concatenate([[cur_lk[c]], lk[c, at]])
-            kept.chain(c, at, states, lks)
-            current[c], cur_lk[c], cur_w[c] = states[-1], lks[-1], now
+def _exact(model, kernel, cfg):
+    """(draws, log-kernels, acceptance rates) of `cfg.draws` iid points
+    per chain from the model's `draw`; see the module docstring."""
+    seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
+    draws = np.concatenate([model.draw(np.random.default_rng(seq), cfg.draws) for seq in seqs])
+    lks = np.asarray(kernel(draws), dtype=float)
+    return draws.reshape(cfg.chains, cfg.draws, -1), lks, np.ones(cfg.chains)
 
 
-def _metropolis(model, kernel, cfg, start, start_lk, kept: _Retention) -> None:
-    """Adaptive random-walk Metropolis in rounds of proposal trees; see the
-    module docstring."""
+def _metropolis(model, kernel, cfg):
+    """(draws, log-kernels, acceptance rates) of adaptive random-walk
+    Metropolis in rounds of proposal trees; see the module docstring."""
+    start = _initial_point(model)
+    start_lk = float(model.log_kernel_safe(start))
+    if not np.isfinite(start_lk):
+        raise InitializationError("posterior kernel not finite at the initial point")
     d = start.size
     chol = model.proposal_chol
     if chol is None:
@@ -398,6 +299,10 @@ def _metropolis(model, kernel, cfg, start, start_lk, kept: _Retention) -> None:
 
     current = np.tile(start, (chains, 1))
     cur_lk = [start_lk] * chains
+    retained = np.empty((chains, cfg.draws, d))
+    retained_lk = np.empty((chains, cfg.draws))
+    accepted_after = np.zeros(chains)
+    keep = 0
     log_scale = np.full(chains, math.log(base_scale))
     scale = np.exp(log_scale)
     block_acc = [0] * chains
@@ -492,14 +397,25 @@ def _metropolis(model, kernel, cfg, start, start_lk, kept: _Retention) -> None:
         # Retention, deferred to the chunk's end: a chain's state after step
         # t is its chunk-start state plus its moves accepted up to t, added
         # in the order the steps added them.  A burn-in chunk keeps nothing.
-        kept.chunk(first, n)
+        lo = min(max(cfg.burnin - first, 0), n)
+        kept = np.arange(lo + (cfg.burnin - first - lo) % cfg.thin, n, cfg.thin)
+        span = slice(keep, keep + kept.size)
+        keep += kept.size
         for c in range(chains):
             at = np.array(accepted_at[c], dtype=np.intp)
-            if not kept.kept.size:
-                kept.chain(c, at)
+            accepted_after[c] += at.size - np.searchsorted(at, lo)
+            if not kept.size:
                 continue
             states = np.cumsum(np.concatenate([chunk_start[c, None], moves[c, at]]), axis=0)
-            kept.chain(c, at, states, np.array([chunk_start_lk[c]] + accepted_lk[c]))
+            state_lks = np.array([chunk_start_lk[c]] + accepted_lk[c])
+            last = np.searchsorted(at, kept, side="right")
+            retained[c, span] = states[last]
+            retained_lk[c, span] = state_lks[last]
+
+    rates = accepted_after / max(cfg.draws * cfg.thin, 1)
+    if np.any(rates == 0.0):
+        raise SamplerStuckError("a chain rejected every proposal after adaptation")
+    return retained, retained_lk, rates
 
 
 def _ess_initial_positive(series: np.ndarray) -> float:
@@ -523,14 +439,23 @@ def _ess_initial_positive(series: np.ndarray) -> float:
 
 
 def effective_sample_size(sample: SurpriseSample) -> float:
-    """ESS of the log-surprise series, summed over chains, capped at M."""
+    """ESS of the log-surprise series, summed over chains, capped at M.
+
+    Computed once per sample: the value is kept on the sample, keyed to its
+    `log_surprise` array and its `config`, so that rebinding either field
+    computes it afresh (editing the array in place does not).
+    """
     if sample.size < 100:
         raise ValueError("need at least 100 draws for an ESS estimate")
+    cached = sample._ess
+    if cached is not None and cached[0] is sample.log_surprise and cached[1] is sample.config:
+        return cached[2]
     per_chain = sample.config.draws
     chains = sample.config.chains
     if per_chain * chains == sample.size:
         segments = sample.log_surprise.reshape(chains, per_chain)
     else:
         segments = sample.log_surprise[None, :]
-    ess = sum(_ess_initial_positive(seg) for seg in segments)
-    return float(min(ess, sample.size))
+    ess = float(min(sum(_ess_initial_positive(seg) for seg in segments), sample.size))
+    sample._ess = (sample.log_surprise, sample.config, ess)
+    return ess

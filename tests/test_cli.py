@@ -95,15 +95,15 @@ class TestEv:
 
     def _decide_b2(self, tmp_path, capsys, table2, monkeypatch, module, name):
         """`fbst ev --threshold 0.05` for b2 = 0 on the order-2 regression at
-        seed 0, counting the calls of module.name.  The model drops its t
-        proposal, so that the random walk draws the sample."""
+        seed 0, counting the calls of module.name.  The model drops its exact
+        draws, so that the random walk draws the sample."""
         import fbst.cli
 
         build = fbst.cli.model_from_spec
 
         def walk_from_spec(*args):
             model, hyp = build(*args)
-            return dataclasses.replace(model, proposal_df=None), hyp
+            return dataclasses.replace(model, draw=None), hyp
 
         monkeypatch.setattr(fbst.cli, "model_from_spec", walk_from_spec)
         calls = []

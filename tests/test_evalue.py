@@ -153,14 +153,28 @@ class TestEvalue:
             lambda th: gauss_model.log_kernel(th) + 11.0,
             mode=gauss_model.mode,
             proposal_chol=gauss_model.proposal_chol,
-            proposal_df=gauss_model.proposal_df,
             closed_form=gauss_model.closed_form,
+            draw=gauss_model.draw,
         )
         cfg = SamplerConfig(seed=42, chains=4, draws=50_000, burnin=2_000)
         sample_b = sample_posterior(shifted, cfg)
         rep_a = evalue(gauss_model, point_hypothesis([0.0]), gauss_sample)
         rep_b = evalue(shifted, point_hypothesis([0.0]), sample_b)
         assert rep_b.ev == pytest.approx(rep_a.ev, abs=1e-12)
+
+    def test_three_reports_compute_one_ess(self, gauss_model, monkeypatch):
+        from fbst import SamplerConfig, sample_posterior, sampler
+
+        sample = sample_posterior(gauss_model, SamplerConfig(seed=5, chains=2, draws=2_000))
+        series = []
+        inner = sampler._ess_initial_positive
+        monkeypatch.setattr(sampler, "_ess_initial_positive", lambda x: series.append(x) or inner(x))
+        H = point_hypothesis([0.0])
+        reports = [evalue(gauss_model, h, sample) for h in (H, complement(H), Hypothesis())]
+        # one FFT pass: one series per chain, for the first report only
+        assert len(series) == sample.config.chains
+        assert reports[0].ess is not None
+        assert reports[0].ess == reports[1].ess == reports[2].ess
 
     def test_seed_determinism(self, gauss_model, gauss_sample):
         a = evalue(gauss_model, point_hypothesis([0.0]), gauss_sample)

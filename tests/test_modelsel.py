@@ -129,6 +129,17 @@ class TestSelectionTable:
             selection_table(table2, 9, FAST_CFG, with_evalues=True)
         assert calls == []
 
+    def test_one_fit_per_order(self, table2, monkeypatch):
+        fits = []
+        monkeypatch.setattr(modelsel, "least_squares", lambda *a: fits.append(a) or least_squares(*a))
+        rows = selection_table(table2, 5)
+        assert len(fits) == 6
+        monkeypatch.undo()
+        # the same bits as each column computed on its own
+        for row in rows:
+            assert row.aic == aic(table2, row.order)
+            assert row.r_emp == empirical_error(table2, row.order)
+
     def test_evalue_columns_seeded_per_order(self, table2):
         cfg = SamplerConfig(seed=7, chains=2, draws=1_000, burnin=200)
         rows = selection_table(table2, 2, cfg, with_evalues=True)

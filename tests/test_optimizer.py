@@ -218,6 +218,37 @@ class TestGenericPath:
             maximize_surprise(model, H)
 
 
+class TestBoundaryFlag:
+    BOUNDS = (-np.inf, -3.0, -1e-7, 0.0, 1e-7, 2.5, np.inf)
+    # on, near and far from a bound, relative to max(1, |b|)
+    OFFSETS = (0.0, 5e-9, 1e-8, 2e-8, 1e-6, 9e-6, 2e-5, 1.0)
+    FIXED = (0.0, 1e-9, -1e-9, 1e-300, 5.0, -5.0, np.inf, -np.inf, np.nan)
+
+    def _points(self, b):
+        near = [] if np.isinf(b) else [b + s * o * max(1.0, abs(b)) for s in (1.0, -1.0) for o in self.OFFSETS]
+        return near + list(self.FIXED)
+
+    @pytest.mark.parametrize("b", BOUNDS)
+    def test_same_as_isclose(self, b):
+        # np.isclose's default tolerances: |t - b| <= 1e-8 + 1e-5 |b|
+        flags = [optimizer._on_bound(np.array([t, -7.0]), np.array([b, 4.0])) for t in self._points(b)]
+        assert flags == [bool(np.isclose(t, b)) for t in self._points(b)]
+        assert True in flags and False in flags
+
+    def test_optimum_flag_same_as_isclose(self):
+        sp = ParameterSpace(("u", "v"), np.array([-np.inf, -1e-7]), np.array([2.5, np.inf]))
+        model = StatisticalModel(sp, lambda th: np.zeros(np.shape(th)[:-1]))
+        seen = set()
+        for u in self._points(2.5):
+            for v in self._points(-1e-7)[::3]:
+                theta = np.array([u, v])
+                got = optimizer._finish(model, Hypothesis(), theta, "multistart").boundary_flag
+                want = bool(np.any(np.isclose(theta, sp.lower) | np.isclose(theta, sp.upper)))
+                assert got == want
+                seen.add(got)
+        assert seen == {False, True}
+
+
 # the reference vanishes at a = 0 while the kernel does not: s = +inf there
 DIVERGENT_SPEC = {"family": "generic", "coordinates": ["a", "b"], "log_kernel": "-(a - 0.5)^2 - b^2",
                   "log_reference": "log(a)", "bounds": [[0, 1], [None, None]]}

@@ -25,7 +25,7 @@ from fbst import (
     point_hypothesis,
     sample_posterior,
 )
-from fbst import sampler
+from fbst.model import least_squares
 from fbst.sampler import (
     CHUNK,
     PREFETCH,
@@ -115,26 +115,6 @@ def _nonfinite_kernel(theta):
     x = th[..., 0]
     with np.errstate(invalid="ignore"):
         return np.where(x > 1.5, np.inf, np.where(x < -1.5, np.nan, -0.5 * (th * th).sum(axis=-1)))
-
-
-def _three_level_kernel(theta):
-    th = np.asarray(theta)[..., 0]
-    return np.log(np.array([0.2, 0.3, 0.5])[np.clip(th.astype(int), 0, 2)])
-
-
-# a three-level step density on [0, 3]
-THREE_LEVEL_MODEL = StatisticalModel(ParameterSpace(("u",), np.array([0.0]), np.array([3.0])),
-                                     _three_level_kernel, mode=np.array([1.5]))
-
-
-def _assert_binned_balance(sample):
-    """The binned flows of a reversible chain on THREE_LEVEL_MODEL balance."""
-    bins = np.clip(sample.draws[:, 0].astype(int), 0, 2)
-    for a in range(3):
-        for b in range(a + 1, 3):
-            ab = np.sum((bins[:-1] == a) & (bins[1:] == b))
-            ba = np.sum((bins[:-1] == b) & (bins[1:] == a))
-            assert abs(ab - ba) <= 3.0 * math.sqrt(ab + ba + 1)
 
 
 NONFINITE_MODEL = StatisticalModel(ParameterSpace(("u", "v"), np.full(2, -np.inf), np.full(2, np.inf)),
@@ -242,8 +222,23 @@ class TestSamplePosterior:
         assert not gauss_sample.stationarity_flags.any()
 
     def test_detailed_balance_on_binned_chain(self):
-        s = sample_posterior(THREE_LEVEL_MODEL, SamplerConfig(seed=9, chains=1, draws=60_000, burnin=5_000))
-        _assert_binned_balance(s)
+        # three-level step density; binned flows of a reversible chain balance
+        probs = np.array([0.2, 0.3, 0.5])
+        sp = ParameterSpace(("u",), np.array([0.0]), np.array([3.0]))
+
+        def kernel(th):
+            th = np.asarray(th)[..., 0]
+            idx = np.clip(th.astype(int), 0, 2)
+            return np.log(probs[idx])
+
+        model = StatisticalModel(sp, kernel, mode=np.array([1.5]))
+        s = sample_posterior(model, SamplerConfig(seed=9, chains=1, draws=60_000, burnin=5_000))
+        bins = np.clip(s.draws[:, 0].astype(int), 0, 2)
+        for a in range(3):
+            for b in range(a + 1, 3):
+                ab = np.sum((bins[:-1] == a) & (bins[1:] == b))
+                ba = np.sum((bins[:-1] == b) & (bins[1:] == a))
+                assert abs(ab - ba) <= 3.0 * math.sqrt(ab + ba + 1)
 
     def test_closed_bounds_raise_no_warning(self):
         model, _ = model_from_spec(BETA_SPEC)
@@ -285,8 +280,8 @@ class TestSamplePosterior:
 
 
 def _walk(model):
-    """The model without its t proposal, so that the random walk samples it."""
-    return dataclasses.replace(model, proposal_df=None)
+    """The model without its exact draws, so that the random walk samples it."""
+    return dataclasses.replace(model, draw=None)
 
 
 def _regression(k):
@@ -421,7 +416,7 @@ def _assert_same_sample(a, b):
     assert np.array_equal(a.acceptance_rates, b.acceptance_rates)
 
 
-# prints a digest of one seeded order-5 independence sample with 8 chains
+# prints a digest of one seeded order-5 exact sample with 8 chains
 BLAS_PROBE = """
 import hashlib
 from fbst import SamplerConfig, make_polynomial_regression_model, sample_posterior
@@ -432,27 +427,29 @@ print(hashlib.sha256(s.draws.tobytes() + s.log_surprise.tobytes()).hexdigest())
 """
 
 
-class TestIndependence:
+class TestExactDraws:
     def test_gaussian_moments(self):
         model = make_gaussian_mean_model(1.5, 4.0)
         s = sample_posterior(model, SamplerConfig(seed=3, chains=4, draws=50_000, burnin=2_000))
         assert abs(s.draws.mean() - 1.5) < 0.02
         assert abs(s.draws.var() / 4.0 - 1.0) < 0.02
+        assert np.array_equal(s.acceptance_rates, np.ones(4))
 
-    def test_detailed_balance_on_binned_chain(self):
-        model = dataclasses.replace(THREE_LEVEL_MODEL, proposal_chol=np.eye(1), proposal_df=6.0)
-        s = sample_posterior(model, SamplerConfig(seed=9, chains=1, draws=60_000, burnin=5_000))
-        _assert_binned_balance(s)
-        # the chain that keeps its first weight and accepts against it is
-        # reversible too, but for another density
-        bins = np.clip(s.draws[:, 0].astype(int), 0, 2)
-        assert np.allclose(np.bincount(bins) / bins.size, [0.2, 0.3, 0.5], rtol=0.0, atol=0.02)
-
-    def test_ess_per_draw_five_times_the_random_walk(self, table2):
-        model = make_polynomial_regression_model(table2, 3)
-        cfg = SamplerConfig(seed=1, chains=4, draws=10_000, burnin=2_000)
-        walk, independent = (effective_sample_size(sample_posterior(m, cfg)) for m in (_walk(model), model))
-        assert independent >= 5.0 * walk
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_regression_moments(self, table2, k):
+        # beta is t about beta_hat with covariance SSR / (n - k - 3) (X'X)^-1,
+        # and E[sigma^2] = SSR / (n - k - 3)
+        X, _, beta_hat, ssr = least_squares(table2, k)
+        cov = ssr / (table2.n - k - 3) * np.linalg.inv(X.T @ X)
+        s = sample_posterior(make_polynomial_regression_model(table2, k),
+                             SamplerConfig(seed=2, chains=4, draws=50_000))
+        beta, sd = s.draws[:, : k + 1], np.sqrt(np.diag(cov))
+        assert np.all(np.abs(beta.mean(axis=0) - beta_hat) < 5.0 * sd / math.sqrt(s.size))
+        # about 0.004 standard error per entry, in units of sd_i sd_j
+        err = (np.cov(beta, rowvar=False).reshape(cov.shape) - cov) / np.outer(sd, sd)
+        assert np.max(np.abs(err)) < 0.03
+        sigma2 = np.exp(2.0 * s.draws[:, k + 1]).mean()
+        assert abs(sigma2 / (ssr / (table2.n - k - 3)) - 1.0) < 0.01
 
     @pytest.mark.parametrize("seed", [43, 44, 45])
     def test_gaussian_oracle(self, seed):
@@ -470,36 +467,25 @@ class TestIndependence:
         cfg = SamplerConfig(seed=4, chains=3, draws=1_000, burnin=300, thin=2)
         _assert_same_sample(sample_posterior(model, cfg), sample_posterior(model, cfg))
 
-    def test_chunk_changes_no_gaussian_draw(self, monkeypatch):
-        # the gaussian kernel is elementwise; the regression's product
-        # rounds by batch shape, so its chunking is checked for determinism
+    def test_chain_draws_do_not_depend_on_chain_count(self, table2):
+        model = make_polynomial_regression_model(table2, 3)
+        two = sample_posterior(model, SamplerConfig(seed=6, chains=2, draws=1_000))
+        five = sample_posterior(model, SamplerConfig(seed=6, chains=5, draws=1_000))
+        assert np.array_equal(five.draws[: two.size], two.draws)
+
+    def test_burnin_thin_and_scale_change_no_draw(self):
         model = make_gaussian_mean_model(1.0, 2.0)
-        cfg = SamplerConfig(seed=5, chains=3, draws=1_000, burnin=250, thin=2)
-        want = sample_posterior(model, cfg)
-        monkeypatch.setattr(sampler, "CHUNK", 100)
-        _assert_same_sample(sample_posterior(model, cfg), want)
+        want = sample_posterior(model, SamplerConfig(seed=5, chains=3, draws=1_000, burnin=0))
+        got = sample_posterior(model, SamplerConfig(seed=5, chains=3, draws=1_000, burnin=250, thin=2, scale=3.0))
+        _assert_same_sample(got, want)
 
-    def test_nonfinite_kernel_rejected(self):
-        model = dataclasses.replace(NONFINITE_MODEL, proposal_chol=np.eye(2), proposal_df=4.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            s = sample_posterior(model, SamplerConfig(seed=15, chains=3, draws=1_000, burnin=200))
-        assert np.all(np.abs(s.draws[:, 0]) <= 1.5)
-        assert np.all(np.isfinite(s.log_surprise))
+    def test_one_kernel_call(self, table2):
+        model, shapes = _counting(make_polynomial_regression_model(table2, 5))
+        sample_posterior(model, SamplerConfig(seed=0, chains=4, draws=1_000, burnin=500))
+        assert shapes == [(4_000, 7)]
 
-    def test_stuck_chain_raises(self):
-        sp = ParameterSpace(("u",), np.array([-np.inf]), np.array([np.inf]))
-
-        def kernel(th):
-            return np.where(np.asarray(th)[..., 0] == 0.0, 0.0, -np.inf)
-
-        model = StatisticalModel(sp, kernel, mode=np.zeros(1), proposal_chol=np.eye(1), proposal_df=6.0)
-        with pytest.raises(SamplerStuckError):
-            sample_posterior(model, SamplerConfig(seed=0, chains=1, draws=1_000, burnin=0))
-
-    def test_proposal_df_chooses_the_sampler(self):
-        # a hand-built model with a mode and a factor but no t proposal is
-        # sampled by the random walk
+    def test_draw_chooses_the_sampler(self):
+        # the same model without `draw` is sampled by the random walk
         gauss = make_gaussian_mean_model(1.0, 2.0)
         cfg = SamplerConfig(seed=1, chains=2, draws=1_000, burnin=100)
         walk = _reference_sample(gauss, cfg)
@@ -507,14 +493,24 @@ class TestIndependence:
         assert not np.array_equal(sample_posterior(gauss, cfg).draws, walk.draws)
 
     def test_draws_do_not_depend_on_blas_threads(self):
-        # a chunk's proposals are one (chains * CHUNK, d) product, and the
-        # regression kernel another
+        # the beta block is one (draws, k + 1) product per chain, and the
+        # regression kernel one product on every chain's draws
         src = str(Path(fbst.__file__).resolve().parents[1])
         digests = {subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True,
                                   check=True, env=dict(os.environ, PYTHONPATH=src,
                                                        OPENBLAS_NUM_THREADS=threads)).stdout
                    for threads in ("1", "2")}
         assert len(digests) == 1
+
+
+class TestIndependence:
+    # exact draws are independent within a chain, so their ESS per draw
+    # is near 1 where the random walk's is not
+    def test_ess_per_draw_five_times_the_random_walk(self, table2):
+        model = make_polynomial_regression_model(table2, 3)
+        cfg = SamplerConfig(seed=1, chains=4, draws=10_000, burnin=2_000)
+        walk, exact = (effective_sample_size(sample_posterior(m, cfg)) for m in (_walk(model), model))
+        assert exact >= 5.0 * walk
 
 
 def _peak_bytes(fn, *args):
@@ -529,13 +525,13 @@ def _peak_bytes(fn, *args):
 class TestRandomnessMemory:
     BOUND = 400_000  # bytes
 
-    @pytest.mark.parametrize("sampler_name", ["metropolis", "independence"])
+    @pytest.mark.parametrize("sampler_name", ["metropolis", "exact"])
     def test_peak_bounded_by_chunk_not_steps(self, sampler_name):
         # 20_000 steps per chain, 1000 retained: the reference holds every
-        # step's randomness at once, the chunked samplers CHUNK steps of it.
-        # Measured peaks (numpy 2.4, CHUNK = 1024, PREFETCH = 6,
-        # PREFETCH2 = 4): reference 962 kB, random walk 304 kB,
-        # independence sampler 265 kB.
+        # step's randomness at once, the random walk CHUNK steps of it, and
+        # exact draws none past the retained ones.  Measured peaks (numpy
+        # 2.4, CHUNK = 1024, PREFETCH = 6, PREFETCH2 = 4): reference 962 kB,
+        # random walk 304 kB, exact draws 75 kB.
         model = make_gaussian_mean_model(0.0, 1.0)
         if sampler_name == "metropolis":
             model = _walk(model)
@@ -596,6 +592,15 @@ class TestEffectiveSampleSize:
         base = rng.standard_normal(2000)
         s = _manual_sample(np.concatenate([base, -base]))
         assert effective_sample_size(s) <= s.size
+
+    def test_computed_again_once_log_surprise_is_rebound(self):
+        s = _manual_sample(_ar1(0.9, 4000, seed=3))
+        first = effective_sample_size(s)
+        assert effective_sample_size(s) == first
+        s.log_surprise = _ar1(0.0, 4000, seed=4)
+        second = effective_sample_size(s)
+        assert second > 2.0 * first
+        assert second == effective_sample_size(dataclasses.replace(s))
 
     def test_needs_minimum_draws(self):
         s = _manual_sample(np.arange(50.0))
