@@ -371,31 +371,34 @@ def polynomial_design(x: np.ndarray, k: int) -> np.ndarray:
     return np.vander(np.asarray(x, dtype=float), k + 1, increasing=True)
 
 
-def least_squares(data: Dataset, k: int):
-    """Order-k least-squares fit of y on x: (X, L_inv, beta_hat, ssr).
-
-    X'X = L L' is factored once and never inverted: beta_hat comes from
-    triangular solves against L, and the lower-triangular L_inv = L^-1
-    gives the model's covariance s2 L^-T L^-1.  Raises ValueError unless
-    0 <= k < n - 2, and SingularDesignError when cond(X'X) > 1e12.
-    """
-    # local: only regression models use scipy.linalg, and it slows `import fbst`
-    from scipy.linalg import cho_solve, solve_triangular
-
+def _qr_fit(data: Dataset, k: int):
+    """(X, R, R^-1, beta_hat, ssr) from X = QR, R's diagonal positive."""
     if k < 0:
         raise ValueError("order must be >= 0")
     if data.n <= k + 2:
         raise ValueError("need n > k + 2 observations")
     X = polynomial_design(data.column("x"), k)
     y = data.column("y")
-    XtX = X.T @ X
-    if np.linalg.cond(XtX) > 1e12:
+    Q, R = np.linalg.qr(X)
+    if np.linalg.cond(R) > 1e6:  # cond(X'X) = cond(R)^2 > 1e12
         raise SingularDesignError("X'X is numerically singular")
-    L = np.linalg.cholesky(XtX)
-    L_inv = solve_triangular(L, np.eye(k + 1), lower=True)
-    beta_hat = cho_solve((L, True), X.T @ y)
+    # R is triangular, so solve and inv never pivot; R's row signs do not change beta_hat
+    beta_hat = np.linalg.solve(R, Q.T @ y)
+    R *= np.where(np.diag(R) < 0.0, -1.0, 1.0)[:, None]
     resid = y - X @ beta_hat
-    return X, L_inv, beta_hat, float(resid @ resid)
+    return X, R, np.linalg.inv(R), beta_hat, float(resid @ resid)
+
+
+def least_squares(data: Dataset, k: int):
+    """Order-k least-squares fit of y on x: (X, L_inv, beta_hat, ssr).
+
+    From one QR factorization X = QR, R's diagonal made positive: R' is the
+    Cholesky factor L of X'X (never formed), L_inv = R^-T, and beta_hat
+    solves R beta = Q'y.  Raises ValueError unless 0 <= k < n - 2, and
+    SingularDesignError when cond(X'X) = cond(R)^2 > 1e12.
+    """
+    X, _, R_inv, beta_hat, ssr = _qr_fit(data, k)
+    return X, R_inv.T, beta_hat, ssr
 
 
 def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
@@ -403,33 +406,31 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
 
     Parameters are (b0..bk, log_sigma); sigma is handled as log(sigma)
     internally so the space is unbounded.  The surprise function equals
-    the posterior density in the (beta, sigma) coordinates.  beta_hat and
-    the SSR come from `least_squares`, and the random walk's beta block is
-    sqrt(s2) L^-T, an upper-triangular factor of s2 (X'X)^-1.  `draw` is
-    the exact posterior (Gelman et al., Bayesian Data Analysis, 3rd ed.,
-    14.2): sigma^2 = SSR / g with g ~ chi2(n - k - 1), then
-    beta = beta_hat + sigma z' L^-1 with z ~ N(0, I), whose covariance
-    given sigma is sigma^2 L^-T L^-1 = sigma^2 (X'X)^-1.
+    the posterior density in the (beta, sigma) coordinates.  All of it
+    reads the X = QR behind `least_squares`: the random walk's beta block
+    is sqrt(s2) R^-1, an upper-triangular factor of s2 (X'X)^-1, and
+    `draw` is the exact posterior (Gelman et al., Bayesian Data Analysis,
+    3rd ed., 14.2): sigma^2 = SSR / g with g ~ chi2(n - k - 1), then
+    beta = beta_hat + sigma z' R^-T with z ~ N(0, I), of covariance
+    sigma^2 R^-1 R^-T = sigma^2 (X'X)^-1 given sigma.  Raises ValueError
+    when SSR = 0, where the posterior is improper.
 
     With lam = log_sigma, the log-kernel is
     -n lam - exp(-2 lam) (SSR + |X (beta - beta_hat)|^2) / 2, the Jacobian
     of sigma -> lam folded in; the reference lam takes it out again, so the
-    surprise stays reparameterization-invariant.  X = QR (numpy's QR, R
-    alone), so |X (beta - beta_hat)| = |(beta - beta_hat) R'|, and one
-    (k+2)-square product w = (theta - (beta_hat, 0)) blockdiag(R', -2)
-    gives both z = (beta - beta_hat) R' and w_lam = -2 lam: the kernel is
-    -(exp(w_lam) (SSR + |z|^2) - n w_lam) / 2.  R is not the Cholesky
-    factor of X'X, which at order 5 is off by about 1e-10 against exact
-    arithmetic where R is within about 3e-13.
+    surprise stays reparameterization-invariant.  One (k+2)-square product
+    w = (theta - (beta_hat, 0)) blockdiag(R', -2) gives both
+    z = (beta - beta_hat) R', of norm |X (beta - beta_hat)|, and
+    w_lam = -2 lam: the kernel is -(exp(w_lam) (SSR + |z|^2) - n w_lam) / 2.
     """
-    X, L_inv, beta_hat, ssr = least_squares(data, k)
+    _, R, R_inv, beta_hat, ssr = _qr_fit(data, k)
+    if ssr == 0.0:
+        raise ValueError("the fit is exact (SSR = 0), so the 1/sigma posterior is improper")
     n = data.n
-    s2 = ssr / (n - k)
-    names = tuple(f"b{i}" for i in range(k + 1)) + ("log_sigma",)
-    space = unbounded_space(names)
+    space = unbounded_space([f"b{i}" for i in range(k + 1)] + ["log_sigma"])
     shift = np.append(beta_hat, 0.0)
     factor = np.zeros((k + 2, k + 2))
-    factor[: k + 1, : k + 1] = np.linalg.qr(X, mode="r").T
+    factor[: k + 1, : k + 1] = R.T
     factor[k + 1, k + 1] = -2.0
 
     def kernel(theta):
@@ -449,37 +450,35 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
     def reference(theta):
         return np.asarray(theta, dtype=float)[..., k + 1]
 
-    sigma_mode2 = (n - k) * s2 / (n + 1)
-    mode = np.concatenate([beta_hat, [0.5 * math.log(sigma_mode2)]])
+    mode = np.concatenate([beta_hat, [0.5 * math.log(ssr / (n + 1))]])
     chol = np.zeros((k + 2, k + 2))
-    chol[: k + 1, : k + 1] = math.sqrt(s2) * L_inv.T
+    chol[: k + 1, : k + 1] = math.sqrt(ssr / (n - k)) * R_inv
     chol[k + 1, k + 1] = math.sqrt(1.0 / (2.0 * (n - k)))
-    XtX, XtX_inv = X.T @ X, L_inv.T @ L_inv
 
     def closed_form(A=None, b=0.0):
         """Under A theta = b with A's log_sigma column zero (A beta = b):
-        beta_tilde = beta_hat - (X'X)^-1 A' (A (X'X)^-1 A')^-1 (A beta_hat - b)
-        projects beta_hat onto the constraints in the X'X metric, and
-        sigma_tilde maximizes the profile of the posterior exponent.  Raises
-        ValueError when A (X'X)^-1 A' is singular."""
+        beta_tilde = beta_hat - G (A G)^-1 (A beta_hat - b), with
+        G = R^-1 (A R^-1)' = (X'X)^-1 A', projects beta_hat onto the
+        constraints in the X'X metric, and sigma_tilde maximizes the profile
+        of the posterior exponent.  Raises ValueError when A G is singular."""
         if A is None:
             return mode
         if A[:, -1].any():
             return None
         A = A[:, :-1]
-        M = A @ XtX_inv @ A.T
+        G = R_inv @ (A @ R_inv).T
+        M = A @ G
         if np.linalg.matrix_rank(M) < len(A):
             raise ValueError("degenerate constraint direction")
-        beta_tilde = beta_hat - XtX_inv @ A.T @ np.linalg.solve(M, A @ beta_hat - b)
-        diff = beta_tilde - beta_hat
-        sigma2 = ((n - k) * s2 + float(diff @ XtX @ diff)) / (n + 1)
-        return np.concatenate([beta_tilde, [0.5 * math.log(sigma2)]])
+        beta_tilde = beta_hat - G @ np.linalg.solve(M, A @ beta_hat - b)
+        z = R @ (beta_tilde - beta_hat)
+        return np.concatenate([beta_tilde, [0.5 * math.log((ssr + float(z @ z)) / (n + 1))]])
 
     def draw(rng, size):
         sigma = np.sqrt(ssr / rng.chisquare(n - k - 1, size))
         theta = np.empty((size, k + 2))
         beta = theta[:, : k + 1]
-        np.matmul(rng.standard_normal((size, k + 1)), L_inv, out=beta)
+        np.matmul(rng.standard_normal((size, k + 1)), R_inv.T, out=beta)
         beta *= sigma[:, None]
         beta += beta_hat
         np.log(sigma, out=theta[:, k + 1])

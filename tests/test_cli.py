@@ -194,6 +194,16 @@ class TestEv:
         assert main(["ev", spec, "--data", str(csv), "--seed", "0"] + FAST) == 2
         assert "order must be >= 0" in capsys.readouterr().err
 
+    def test_perfect_fit_exits_2(self, tmp_path, capsys):
+        # 4 points on y = 2x + 1 leave an SSR of 0, where the posterior is improper
+        spec = write_spec(tmp_path, {"family": "polynomial-regression", "order": 1,
+                                     "data": [[x, 2.0 * x + 1.0] for x in range(4)],
+                                     "hypothesis": {"equalities": ["b1"]}})
+        assert main(["ev", spec, "--seed", "0"] + FAST) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "SSR = 0" in captured.err
+
     def test_random_seed_reported(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GAUSS_SPEC)
         code = main(["ev", spec] + FAST)

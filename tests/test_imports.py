@@ -1,10 +1,11 @@
 """Which scipy modules each path loads, each case in a fresh interpreter.
 
-`import fbst` loads numpy only. scipy.linalg loads with the first
-regression model, scipy.optimize with the first SLSQP run, and
-scipy.special with the first chi-square call, which a standardization
-makes only when 0 < h < t. The GFBST harness, a network of gaussian-mean
-slots and a point-null e-value load none of the three.
+`import fbst` loads numpy only. scipy.optimize loads with the first
+SLSQP run, and scipy.special with the first chi-square call, which a
+standardization makes only when 0 < h < t. The GFBST harness, a network
+of gaussian-mean slots, a point-null e-value, a regression model and an
+SBC order selection load none of them. scipy.linalg stays in DEFERRED so
+that a path which loads it again is caught.
 """
 
 import json
@@ -95,17 +96,24 @@ def test_regression_evalue_loads_special_at_its_standardization():
         assert opt.method == "closed-form"
         report()
         assert 0 < evalue(model, H, sample, ladder=ladder, optimum=opt).hdim < model.space.dimension
-    """) == [["scipy.linalg"], ["scipy.linalg", "scipy.special"]]
+    """) == [[], ["scipy.special"]]
 
 
-def test_regression_model_loads_linalg_only():
+def test_regression_model_loads_none():
     assert loaded("""
         from fbst import make_polynomial_regression_model
         from fbst.modelsel import benchmark_dataset
         data = benchmark_dataset()
         report()
         make_polynomial_regression_model(data, 2)
-    """) == [[], ["scipy.linalg"]]
+    """) == [[], []]
+
+
+def test_sbc_order_selection_loads_none():
+    assert loaded("""
+        from fbst.modelsel import benchmark_dataset, select_order
+        select_order(benchmark_dataset(), 5, "sbc")
+    """) == [[]]
 
 
 def test_slsqp_loads_optimize():

@@ -365,9 +365,20 @@ class TestPolynomialRegressionFamily:
     def test_exact_line_interpolates(self):
         x = np.linspace(0, 1, 12)
         data = Dataset(np.column_stack([x, 2.0 * x - 0.5]), ("x", "y"))
-        m = make_polynomial_regression_model(data, 1)
-        resid = data.column("y") - least_squares(data, 1)[0] @ m.mode[:-1]
-        assert np.max(np.abs(resid)) < 1e-12
+        X, _, beta_hat, _ = least_squares(data, 1)
+        assert np.max(np.abs(data.column("y") - X @ beta_hat)) < 1e-12
+        # the fit leaves an SSR of 0, where the 1/sigma posterior is improper
+        with pytest.raises(ValueError, match="improper"):
+            make_polynomial_regression_model(data, 1)
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_fit_against_exact_arithmetic(self, table2, exact_fit, k):
+        # cond(X'X) is 1.1e7 at order 5 and 3.8e11 at order 8; solving the
+        # normal equations there is off by 1.8e-10 and 3e-6, the QR fit by
+        # 1.7e-13 and 1.5e-11
+        want = np.array([float(b) for b in exact_fit(range(k + 1))[0]])
+        got = least_squares(table2, k)[2]
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 5e-11
 
     def test_order2_mean_squared_residual(self, table2):
         assert least_squares(table2, 2)[3] / table2.n == pytest.approx(0.01130, abs=1e-4)
@@ -407,7 +418,7 @@ class TestPolynomialRegressionFamily:
         # -n lam - exp(-2 lam) (ssr + |X (beta - beta_hat)|^2) / 2 from the
         # model's float beta_hat and ssr: the quadratic form in exact
         # rationals, the exponential in mpmath.  cond(X'X) is 1.1e7 at
-        # order 5, where a Cholesky factor of X'X in place of the QR
+        # order 5, where a Cholesky factor of a formed X'X in place of the QR
         # factor of X is off by about 1.7e-10.
         mp = pytest.importorskip("mpmath")
         model = make_polynomial_regression_model(table2, k)

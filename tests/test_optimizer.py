@@ -88,40 +88,29 @@ class TestClosedForm:
         assert abs(opt.theta_star[2]) < 1e-12
 
 
-def _regression_mode_on(data, k, A, b):
-    """The optimizer's former closed form, kept as the reference: surprise
-    maximizer of the order-k polynomial regression on data under A beta = b
-    (A of full row rank)."""
-    X, L_inv, beta_hat, ssr = least_squares(data, k)
-    XtX_inv = L_inv.T @ L_inv
-    n, s2 = data.n, ssr / (data.n - k)
-    M = A @ XtX_inv @ A.T
-    if np.linalg.matrix_rank(M) < len(A):
-        raise ValueError("degenerate constraint direction")
-    beta_tilde = beta_hat - XtX_inv @ A.T @ np.linalg.solve(M, A @ beta_hat - b)
-    diff = beta_tilde - beta_hat
-    quad = float(diff @ (X.T @ X) @ diff)
-    sigma2 = ((n - k) * s2 + quad) / (n + 1)
-    return np.concatenate([beta_tilde, [0.5 * math.log(sigma2)]])
-
-
 class TestExactMode:
-    @pytest.mark.parametrize("k", range(6))
-    def test_top_coefficient_zero_equals_reference(self, table2, k):
+    # the closed form against exact rationals, relative to the largest
+    # coordinate (970 at order 8); the QR closed form is off by 1.4e-12 at
+    # order 8, the explicit (X'X)^-1 it replaced by 7.9e-11 at order 6 and
+    # 5.1e-8 at order 8.  The three ways to reach it give the same bits.
+    @pytest.mark.parametrize("k", range(9))
+    def test_top_coefficient_zero_equals_reference(self, table2, exact_zero_mode, k):
         model = make_polynomial_regression_model(table2, k)
         A = np.eye(k + 2)[[k]]
-        want = _regression_mode_on(table2, k, A[:, :-1], np.zeros(1))
-        assert np.array_equal(exact_mode(model, A, np.zeros(1)), want)
+        got = exact_mode(model, A, np.zeros(1))
+        want = exact_zero_mode(k, [k])
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
         H = coordinate_zero_hypothesis(k, k + 2)
-        assert np.array_equal(maximize_surprise(model, H).theta_star, want)
-        assert np.array_equal(closed_form_constrained_mode(model, A[:, :-1]).theta_star, want)
+        assert np.array_equal(maximize_surprise(model, H).theta_star, got)
+        assert np.array_equal(closed_form_constrained_mode(model, A[:, :-1]).theta_star, got)
 
-    def test_two_rows_equal_reference(self, table2):
+    def test_two_rows_equal_reference(self, table2, exact_zero_mode):
         model = make_polynomial_regression_model(table2, 3)
         A = np.eye(5)[[2, 3]]
-        want = _regression_mode_on(table2, 3, A[:, :-1], np.zeros(2))
-        assert np.array_equal(exact_mode(model, A, np.zeros(2)), want)
-        assert np.array_equal(closed_form_constrained_mode(model, A[:, :-1]).theta_star, want)
+        got = exact_mode(model, A, np.zeros(2))
+        want = exact_zero_mode(3, [2, 3])
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+        assert np.array_equal(closed_form_constrained_mode(model, A[:, :-1]).theta_star, got)
 
     def test_only_built_in_families_answer(self, gauss_model, reg2_model):
         assert np.array_equal(exact_mode(gauss_model), [1.0])
