@@ -99,6 +99,8 @@ def cmd_ev(args) -> tuple:
     if hyp is None:
         raise SpecError("model spec carries no hypothesis")
     cfg = _sampler_config(args)
+    if model.draw is not None:
+        del args.burnin  # exact draws read no burn-in: keep it out of config_hash
     sample = sample_posterior(model, cfg)
     ladder = estimate_truth_ladder(sample, args.nmax)
     report = evalue(model, hyp, sample, args.nmax, ladder=ladder)
@@ -123,6 +125,7 @@ def cmd_select(args) -> tuple:
     else:
         args.seed = args.seed if args.seed is not None else 0
         cfg = None
+    del args.burnin  # regression models take exact draws: keep it out of config_hash
     report = select_order(
         data,
         args.kmax,

@@ -22,31 +22,28 @@ from .sampler import SamplerConfig, sample_posterior
 from .truth import TruthLadder, _ladder_from_sorted, condense, estimate_truth_ladder, eval_truth
 
 DEFAULT_PAIR_BUDGET = 2 ** 20
+_SIDE_CAP = math.isqrt(DEFAULT_PAIR_BUDGET)  # points per side of one convolution
 
 
 class MissingComponentError(ValueError):
     """A conjunctive row references a slot without an optimum."""
 
 
-def mellin_convolve(
-    w1: TruthLadder,
-    w2: TruthLadder,
-    n_max: int = 512,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-) -> TruthLadder:
+def mellin_convolve(w1: TruthLadder, w2: TruthLadder, n_max: int = 512) -> TruthLadder:
     """CDF ladder of the product of two independent ladder variables.
 
     Pairwise products of atoms (log-supports added, masses multiplied),
-    condensed to n_max points. The pair sums are ordered by one in-place
-    sort of int64 keys (`_stable_pair_order`): the sum, quantized
-    monotonically, in the high bits and the flat pair index in the low
-    bits, so exact ties come out in pair-index order. Distinct sums that
-    share a quantum are put in exact order by a stable argsort, run only
-    when an inversion is left. The order is that of a stable argsort of the
-    sums, infinite supports included, and so is the ladder, bit for bit.
+    condensed to n_max points. Each side is first condensed to
+    isqrt(DEFAULT_PAIR_BUDGET) points, so that at most DEFAULT_PAIR_BUDGET
+    pairs are formed. The pair sums are ordered by one in-place sort of
+    int64 keys (`_stable_pair_order`): the sum, quantized monotonically, in
+    the high bits and the flat pair index in the low bits, so exact ties
+    come out in pair-index order. Distinct sums that share a quantum are
+    put in exact order by a stable argsort, run only when an inversion is
+    left. The order is that of a stable argsort of the sums, infinite
+    supports included, and so is the ladder, bit for bit.
     """
-    cap = max(2, int(math.isqrt(pair_budget)))
-    w1c, w2c = condense(w1, cap), condense(w2, cap)
+    w1c, w2c = condense(w1, _SIDE_CAP), condense(w2, _SIDE_CAP)
     a, b = w1c.log_v, w2c.log_v
     sums, index, sorted_sums = _stable_pair_order(a, b)
     # the masses' outer product reuses the sums' row, now gathered
@@ -105,17 +102,13 @@ def _stable_pair_order(a: np.ndarray, b: np.ndarray):
     return sums, key, gathered
 
 
-def convolve_all(
-    ladders: Sequence[TruthLadder],
-    n_max: int = 512,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-) -> TruthLadder:
+def convolve_all(ladders: Sequence[TruthLadder], n_max: int = 512) -> TruthLadder:
     """Balanced-tree reduction of a k-fold Mellin convolution (fixed shape)."""
     items = list(ladders)
     if not items:
         raise ValueError("need at least one ladder")
     while len(items) > 1:
-        pairs = [mellin_convolve(a, b, n_max, pair_budget) for a, b in zip(items[::2], items[1::2])]
+        pairs = [mellin_convolve(a, b, n_max) for a, b in zip(items[::2], items[1::2])]
         items = pairs + items[2 * len(pairs):]
     return items[0]
 
@@ -180,9 +173,8 @@ def convolved_truth(ladders: Sequence[TruthLadder], log_v, n_max: int = 512) -> 
     # the last level of convolve_all's tree: the first 2^m ladders
     # (2^m < k <= 2^(m+1)) against the rest, each reduced by the same tree
     half = 1 << ((k - 1).bit_length() - 1)
-    cap = max(2, int(math.isqrt(DEFAULT_PAIR_BUDGET)))
-    left = condense(convolve_all(ladders[:half], n_max), cap)
-    right = condense(convolve_all(ladders[half:], n_max), cap)
+    left = condense(convolve_all(ladders[:half], n_max), _SIDE_CAP)
+    right = condense(convolve_all(ladders[half:], n_max), _SIDE_CAP)
     masses = left.atom_masses()
     below = np.concatenate([[0.0], right.w])[_pair_counts(left.log_v, right.log_v, v)]
     # a row that counts every pair sums the same terms as the total, in the

@@ -51,7 +51,8 @@ def compile_expression(text: str, names: Sequence[str]) -> Callable:
         if isinstance(node, ast.Expression):
             return build(node.body)
         if isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
+            # bool is an int subclass, but True is not a numeric constant
+            if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
                 raise ExpressionError(f"non-numeric constant in {text!r}")
             value = float(node.value)
             return lambda theta: value
@@ -92,14 +93,14 @@ def compile_expression(text: str, names: Sequence[str]) -> Callable:
     return lambda theta: np.full(np.shape(theta)[:-1], fn(theta))
 
 
-def linear_coefficients(fn: Callable, dim: int, rng_seed: int = 0):
+def linear_coefficients(fn: Callable, dim: int):
     """Detect whether a compiled expression is affine in theta.
 
     Returns (coeffs, offset) if f(theta) = coeffs . theta + offset to
-    within 1e-9 on random probes, else None.  A probe that is not finite
-    (log(0) at the origin, say) marks the expression nonlinear.
+    within 1e-9 on four seeded random probes, else None.  A probe that is
+    not finite (log(0) at the origin, say) marks the expression nonlinear.
     """
-    probes = np.random.default_rng(rng_seed).normal(size=(4, dim)) * 3.0
+    probes = np.random.default_rng(0).normal(size=(4, dim)) * 3.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         base = float(fn(np.zeros(dim)))
         coeffs = np.array([float(fn(e)) for e in np.eye(dim)]) - base

@@ -231,14 +231,12 @@ class Hypothesis:
             eq, ineq = np.fmin(eq, np.inf), np.fmin(ineq, np.inf)  # fmin(NaN, inf) is inf
         return (float(eq), float(ineq)) if theta.ndim == 1 else (eq, ineq)
 
-    def contains(self, theta, eq_tol: float = DEFAULT_EQ_TOL):
-        """Membership test; eq_tol is the equality feasibility tolerance."""
-        if eq_tol <= 0:
-            raise ValueError("eq_tol must be positive")
+    def contains(self, theta):
+        """Membership test; equalities hold to within DEFAULT_EQ_TOL."""
         if self.negated_of is not None:
-            return np.logical_not(self.negated_of.contains(theta, eq_tol))
+            return np.logical_not(self.negated_of.contains(theta))
         eq, ineq = self.residuals(theta)
-        return np.logical_and(eq <= eq_tol, ineq <= 0.0)
+        return np.logical_and(eq <= DEFAULT_EQ_TOL, ineq <= 0.0)
 
     def closure(self) -> tuple:
         """Plain hypotheses whose union is the closure: the set itself; for a
@@ -260,8 +258,8 @@ def complement(H: Hypothesis) -> Hypothesis:
     return Hypothesis(negated_of=H, label=f"not({H.label})" if H.label else "complement")
 
 
-def hypothesis_contains(H: Hypothesis, theta, eq_tol: float = DEFAULT_EQ_TOL):
-    return H.contains(theta, eq_tol)
+def hypothesis_contains(H: Hypothesis, theta):
+    return H.contains(theta)
 
 
 def affine_hypothesis(A, b, label: str = "") -> Hypothesis:

@@ -196,9 +196,10 @@ def select_order(
     }
 
 
-def fitted_curves(data: Dataset, k_max: int, grid_points: int = 101):
-    """Plot data: x grid, target curve, and fitted polynomials per order."""
-    xs = np.linspace(data.column("x").min(), data.column("x").max(), grid_points)
+def fitted_curves(data: Dataset, k_max: int):
+    """Plot data: a 101-point x grid, target curve, and fitted polynomials
+    per order."""
+    xs = np.linspace(data.column("x").min(), data.column("x").max(), 101)
     curves = {"x": xs, "target": target_function(xs)}
     for k in range(k_max + 1):
         beta = least_squares(data, k)[2]

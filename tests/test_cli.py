@@ -204,6 +204,36 @@ class TestEv:
         assert captured.out == ""
         assert "SSR = 0" in captured.err
 
+    def test_bool_constant_exits_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"family": "generic", "coordinates": ["u"],
+                                     "log_kernel": "-u^2 / 2 + True",
+                                     "hypothesis": {"equalities": ["u"]}})
+        assert main(["ev", spec, "--seed", "0"] + FAST) == 2
+        assert "non-numeric constant" in capsys.readouterr().err
+
+    def _hash_and_ev(self, capsys, argv, burnin):
+        code, payload = run(capsys, argv + ["--seed", "0", "--draws", "2000", "--chains", "2",
+                                            "--burnin", str(burnin)])
+        assert code == 0
+        return payload["manifest"]["config_hash"], payload["ev"]
+
+    def test_exact_draws_leave_burnin_out_of_config_hash(self, tmp_path, capsys, table2):
+        csv = tmp_path / "data.csv"
+        table2.to_csv(csv)
+        spec = write_spec(tmp_path, {"family": "polynomial-regression", "order": 2,
+                                     "hypothesis": {"equalities": ["b2"]}})
+        argv = ["ev", spec, "--data", str(csv)]
+        low, high = (self._hash_and_ev(capsys, argv, burnin) for burnin in (1000, 5000))
+        assert low == high
+
+    def test_random_walk_keeps_burnin_in_config_hash(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"family": "generic", "coordinates": ["u"],
+                                     "log_kernel": "-(u - 1)^2 / 2",
+                                     "hypothesis": {"equalities": ["u"]}})
+        (low_hash, _), (high_hash, _) = (self._hash_and_ev(capsys, ["ev", spec], burnin)
+                                         for burnin in (1000, 5000))
+        assert low_hash != high_hash
+
     def test_random_seed_reported(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GAUSS_SPEC)
         code = main(["ev", spec] + FAST)
@@ -267,6 +297,16 @@ class TestSelect:
         assert code == 0
         assert payload["selected_order"] == 2
         assert payload["rows"][3]["ev"] > 0.5
+
+
+    @pytest.mark.parametrize("criterion", ["sbc", "fbst"])
+    def test_burnin_left_out_of_config_hash(self, capsys, criterion):
+        # select samples only regression models, which take exact draws
+        hashes = {run(capsys, ["select", "--builtin", "sakamoto", "--criterion", criterion,
+                               "--kmax", "1", "--seed", "0", "--draws", "1000", "--chains", "2",
+                               "--burnin", burnin])[1]["manifest"]["config_hash"]
+                  for burnin in ("100", "900")}
+        assert len(hashes) == 1
 
 
 class TestVerifyLogic:

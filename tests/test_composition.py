@@ -43,8 +43,8 @@ def unit_atom():
     return TruthLadder(np.array([0.0]), np.array([1.0]))
 
 
-def _reference_mellin(w1, w2, n_max=512, pair_budget=2 ** 20):
-    cap = max(2, int(math.isqrt(pair_budget)))
+def _reference_mellin(w1, w2, n_max=512):
+    cap = math.isqrt(2 ** 20)  # the pair budget's points per side
     w1c = _reference_condense(w1, cap)
     w2c = _reference_condense(w2, cap)
     m1, m2 = w1c.atom_masses(), w2c.atom_masses()
@@ -96,11 +96,13 @@ class TestSinglePassBuilder:
         parts = chi2_ladders[:k]
         assert_same_ladder(convolve_all(parts, 512), _reference_convolve_all(parts, 512))
 
-    def test_bit_identical_under_pair_budget(self, chi2_ladders):
-        # both inputs are condensed to isqrt(budget) = 100 points first
-        a, b = chi2_ladders[1], chi2_ladders[2]
-        got = mellin_convolve(a, b, n_max=64, pair_budget=10_000)
-        assert_same_ladder(got, _reference_mellin(a, b, n_max=64, pair_budget=10_000))
+    def test_bit_identical_under_pair_budget(self):
+        # both inputs are condensed to isqrt(DEFAULT_PAIR_BUDGET) = 1024
+        # points first
+        a, b = (estimate_truth_ladder(iid_chi2_sample(d, seed=d), n_max=2_000) for d in (2, 3))
+        assert a.size == b.size == 2_000 > math.isqrt(composition.DEFAULT_PAIR_BUDGET)
+        got = mellin_convolve(a, b, n_max=64)
+        assert_same_ladder(got, _reference_mellin(a, b, n_max=64))
 
     @pytest.mark.parametrize("n, n_max", [(40, 512), (600, 512), (600, 64)])
     def test_integer_supports_with_ties(self, n, n_max):

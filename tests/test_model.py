@@ -191,10 +191,11 @@ class TestHypothesis:
 
     def test_equality_with_tolerance(self):
         H = point_hypothesis([0.0, 5.0])
-        assert hypothesis_contains(H, [0.0, 5.0], 1e-9)
+        assert hypothesis_contains(H, [0.0, 5.0])
         H1 = Hypothesis(equalities=(lambda th: np.asarray(th)[..., 0],))
-        assert hypothesis_contains(H1, [0.0, 5.0], 1e-9)
-        assert not hypothesis_contains(H1, [1e-6, 5.0], 1e-9)
+        assert hypothesis_contains(H1, [0.0, 5.0])
+        assert hypothesis_contains(H1, [1e-10, 5.0])
+        assert not hypothesis_contains(H1, [1e-6, 5.0])
 
     def test_violated_inequality(self):
         H = Hypothesis(inequalities=(lambda th: np.asarray(th)[..., 0],))
@@ -480,6 +481,12 @@ class TestExpressions:
     def test_rejects_calls_outside_whitelist(self):
         with pytest.raises(ExpressionError):
             compile_expression("__import__('os')", ("a",))
+
+    @pytest.mark.parametrize("text", ["True", "a + True", "False * a", "'1' + a", "None"])
+    def test_rejects_non_numeric_constants(self, text):
+        # bool is an int subclass: True would otherwise compile to 1
+        with pytest.raises(ExpressionError, match="non-numeric constant"):
+            compile_expression(text, ("a",))
 
 
 class TestModelSpec:

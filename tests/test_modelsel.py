@@ -239,8 +239,8 @@ class TestGenerator:
         assert np.abs(resid).max() < 0.5
 
     def test_fitted_curves_shapes(self, table2):
-        curves = fitted_curves(table2, 3, grid_points=50)
-        assert curves["x"].shape == (50,)
+        curves = fitted_curves(table2, 3)
+        assert curves["x"].shape == (101,)
         assert set(f"order_{k}" for k in range(4)) <= set(curves)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -44,7 +45,6 @@ def _reference_sample(model, cfg):
     d = model.space.dimension
     start = _initial_point(model)
     chol = model.proposal_chol if model.proposal_chol is not None else np.eye(d)
-    base_scale = cfg.scale if cfg.scale is not None else 2.38 / math.sqrt(d)
     target = 0.44 if d == 1 else 0.234
     steps = cfg.burnin + cfg.draws * cfg.thin
 
@@ -58,7 +58,7 @@ def _reference_sample(model, cfg):
 
     current = np.tile(start, (cfg.chains, 1))
     cur_lk = np.full(cfg.chains, float(model.log_kernel_safe(start)))
-    log_scale = np.full(cfg.chains, math.log(base_scale))
+    log_scale = np.full(cfg.chains, math.log(2.38 / math.sqrt(d)))
     block_acc = np.zeros(cfg.chains)
     accepted_after = np.zeros(cfg.chains)
     retained = np.empty((cfg.chains, cfg.draws, d))
@@ -272,11 +272,13 @@ class TestSamplePosterior:
         with pytest.raises(ValueError):
             SamplerConfig(draws=10)
         with pytest.raises(ValueError):
-            SamplerConfig(algorithm="nuts")
-        with pytest.raises(ValueError):
-            SamplerConfig(algorithm="hit-and-run")
-        with pytest.raises(ValueError):
-            SamplerConfig(scale=-1.0)
+            SamplerConfig(burnin=-1)
+        # the random walk is the one MCMC algorithm, and its proposal scale
+        # is the model's proposal_chol: neither is a config field
+        with pytest.raises(TypeError):
+            SamplerConfig(algorithm="metropolis")
+        with pytest.raises(TypeError):
+            SamplerConfig(scale=1.0)
 
 
 def _walk(model):
@@ -286,6 +288,13 @@ def _walk(model):
 
 def _regression(k):
     return lambda table2: make_polynomial_regression_model(table2, k)
+
+
+def _wide_bounded(_=None):
+    """BOUNDED_SPEC's model with the random walk's proposal starting at
+    scale 5: most proposals leave [0, 1]."""
+    model = model_from_spec(BOUNDED_SPEC)[0]
+    return dataclasses.replace(model, proposal_chol=np.eye(2) * (5.0 / (2.38 / math.sqrt(2))))
 
 
 BIT_IDENTITY_CASES = {
@@ -314,8 +323,7 @@ BIT_IDENTITY_CASES = {
                            SamplerConfig(seed=2, chains=2, draws=1_000, burnin=49)),
     "nonfinite-kernel": (lambda _: NONFINITE_MODEL, SamplerConfig(seed=15, chains=3, draws=1_000, burnin=200)),
     # most proposals leave [0, 1], so most speculative rows are out of bounds
-    "bounded-wide-scale": (lambda _: model_from_spec(BOUNDED_SPEC)[0],
-                           SamplerConfig(seed=13, chains=3, draws=1_000, burnin=300, scale=5.0)),
+    "bounded-wide-scale": (_wide_bounded, SamplerConfig(seed=13, chains=3, draws=1_000, burnin=300)),
 }
 
 
@@ -359,7 +367,7 @@ class TestBitIdentity:
                 rows.append(np.asarray(theta)[..., 0].ravel())
                 return super().log_kernel_safe(theta)
 
-        model = model_from_spec(BOUNDED_SPEC)[0]
+        model = _wide_bounded()
         fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
         sample_posterior(Recording(**fields), BIT_IDENTITY_CASES["bounded-wide-scale"][1])
         p = np.concatenate(rows)
@@ -402,8 +410,8 @@ class TestPrefetch:
     def test_speculative_rows_raise_no_warning(self):
         # speculative proposals past a chain's first acceptance are
         # evaluated too, most of them outside [0, 1] at this scale
-        model, _ = model_from_spec(BOUNDED_SPEC)
-        cfg = SamplerConfig(seed=0, chains=4, draws=1_000, burnin=300, scale=5.0)
+        model = _wide_bounded()
+        cfg = SamplerConfig(seed=0, chains=4, draws=1_000, burnin=300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s = sample_posterior(model, cfg)
@@ -474,9 +482,11 @@ class TestExactDraws:
         assert np.array_equal(five.draws[: two.size], two.draws)
 
     def test_burnin_thin_and_scale_change_no_draw(self):
+        # the random walk's scale is the model's proposal_chol
         model = make_gaussian_mean_model(1.0, 2.0)
         want = sample_posterior(model, SamplerConfig(seed=5, chains=3, draws=1_000, burnin=0))
-        got = sample_posterior(model, SamplerConfig(seed=5, chains=3, draws=1_000, burnin=250, thin=2, scale=3.0))
+        wide = dataclasses.replace(model, proposal_chol=3.0 * model.proposal_chol)
+        got = sample_posterior(wide, SamplerConfig(seed=5, chains=3, draws=1_000, burnin=250, thin=2))
         _assert_same_sample(got, want)
 
     def test_one_kernel_call(self, table2):
@@ -608,9 +618,32 @@ class TestEffectiveSampleSize:
             effective_sample_size(s)
 
 
+def _round_trip(sample, path):
+    sample.to_csv(path)
+    back = SurpriseSample.from_csv(path)
+    # np.savetxt's %.18e round-trips float64 exactly
+    for name in ("draws", "log_surprise", "acceptance_rates", "stationarity_flags"):
+        assert np.array_equal(getattr(back, name), getattr(sample, name)), name
+    assert back.config == sample.config
+
+
+def _write_old_sidecar(path, sample, **removed):
+    """`sample` as CSV with a sidecar in the layout written while
+    SamplerConfig had `algorithm` and `scale` fields (`removed` overrides
+    their values)."""
+    sample.to_csv(path)
+    cfg = sample.config
+    config = {"algorithm": "metropolis", "chains": cfg.chains, "draws": cfg.draws,
+              "burnin": cfg.burnin, "thin": cfg.thin, "scale": None, "seed": cfg.seed}
+    config.update(removed)
+    sidecar = {"config": config, "acceptance_rates": sample.acceptance_rates.tolist(),
+               "stationarity_flags": sample.stationarity_flags.tolist()}
+    with open(str(path) + ".json", "w") as fh:
+        json.dump(sidecar, fh, indent=2)
+
+
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path, gauss_sample):
-        path = tmp_path / "sample.csv"
         small = SurpriseSample(
             draws=gauss_sample.draws[:2000],
             log_surprise=gauss_sample.log_surprise[:2000],
@@ -618,8 +651,25 @@ class TestSerialization:
             config=gauss_sample.config,
             stationarity_flags=gauss_sample.stationarity_flags,
         )
-        small.to_csv(path)
+        _round_trip(small, tmp_path / "sample.csv")
+
+    def test_random_walk_round_trip(self, tmp_path):
+        model = model_from_spec(BOUNDED_SPEC)[0]
+        sample = sample_posterior(model, SamplerConfig(seed=3, chains=2, draws=1_000, burnin=300))
+        assert np.all(sample.acceptance_rates < 1.0)
+        _round_trip(sample, tmp_path / "walk.csv")
+
+    def test_sidecar_with_the_removed_fields_loads(self, tmp_path):
+        sample = _manual_sample(_ar1(0.5, 1000, seed=5))
+        path = tmp_path / "old.csv"
+        _write_old_sidecar(path, sample)
         back = SurpriseSample.from_csv(path)
-        assert np.allclose(back.draws, small.draws)
-        assert np.allclose(back.log_surprise, small.log_surprise)
-        assert back.config == small.config
+        assert back.config == sample.config
+        assert np.array_equal(back.log_surprise, sample.log_surprise)
+
+    @pytest.mark.parametrize("name, value", [("scale", 5.0), ("algorithm", "hit-and-run")])
+    def test_removed_field_with_another_value_raises(self, tmp_path, name, value):
+        path = tmp_path / "old.csv"
+        _write_old_sidecar(path, _manual_sample(_ar1(0.5, 1000, seed=5)), **{name: value})
+        with pytest.raises(ValueError, match=name):
+            SurpriseSample.from_csv(path)
