@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .composition import analyze_network
+from .composition import analyze_models, network_models
 from .evalue import evalue
 from .gfbst import GridModel, check_logical_properties, gfbst_decide
 from .model import (
@@ -166,7 +166,10 @@ def cmd_compose(args) -> tuple:
     with open(args.spec) as fh:
         spec = json.load(fh)
     cfg = _sampler_config(args)
-    structure, ev = analyze_network(spec, cfg, args.nmax)
+    models, rows = network_models(spec)
+    if all(m.draw is not None for m in models):
+        del args.burnin  # exact draws read no burn-in: keep it out of config_hash
+    structure, ev = analyze_models(models, rows, cfg, args.nmax)
     return {
         "ev": ev,
         "components": structure.k,

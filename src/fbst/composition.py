@@ -243,23 +243,25 @@ def disjunctive_evalue(c: CompositeStructure, n_max: int = 512) -> float:
 # ---------------------------------------------------------------------------
 
 
-def analyze_network(
-    spec: dict,
-    sampler_cfg=None,
-    n_max: int = 512,
-):
-    """Build a CompositeStructure from a network spec dict and return
-    (structure, disjunctive e-value).
+def network_models(spec: dict) -> tuple:
+    """(models, disjunct rows) of a network spec, each serial slot's model
+    built once; raises SpecError when the spec is malformed.
 
     Spec shape: {"serial": [model specs], "disjuncts": [[hyp or null, ...]]}.
     """
     if not isinstance(spec, dict) or "serial" not in spec or "disjuncts" not in spec:
         raise SpecError("network spec needs 'serial' and 'disjuncts' fields")
     models = [model_from_spec(ms)[0] for ms in spec["serial"]]
-    k = len(models)
     rows = spec["disjuncts"]
-    if not rows or any(len(r) != k for r in rows):
+    if not rows or any(len(r) != len(models) for r in rows):
         raise SpecError("each disjunct row must list one hypothesis per serial slot")
+    return models, rows
+
+
+def analyze_models(models, rows, sampler_cfg=None, n_max: int = 512):
+    """(structure, disjunctive e-value) of the network that `network_models`
+    returned as (models, rows)."""
+    k = len(models)
     cfg = sampler_cfg or SamplerConfig()
     ladders, samples = [], []
     for j, m in enumerate(models):
@@ -276,3 +278,9 @@ def analyze_network(
             grid[i, j] = opt.log_s_star
     structure = CompositeStructure(tuple(ladders), grid)
     return structure, disjunctive_evalue(structure, n_max)
+
+
+def analyze_network(spec: dict, sampler_cfg=None, n_max: int = 512):
+    """Build a CompositeStructure from a network spec dict and return
+    (structure, disjunctive e-value); see `network_models` for the spec."""
+    return analyze_models(*network_models(spec), sampler_cfg, n_max)

@@ -434,16 +434,22 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
     def kernel(theta):
         # beta_hat goes before the product: (beta - beta_hat) R' is accurate
         # where beta R' - beta_hat R' would cancel
-        w = (np.asarray(theta, dtype=float) - shift) @ factor
-        w_lam = w[..., k + 1].copy()  # a view, and w is squared next
+        x = np.asarray(theta, dtype=float) - shift
+        # w column-major, so that cols[j], coordinate j's values over the
+        # batch (its axes reversed; val.T restores them), is contiguous
+        w = np.matmul(x, factor, out=np.empty(x.shape, order="F"))
+        cols = w.T
+        w_lam = cols[k + 1].copy()  # a view, and w is squared next
         w *= w
-        val = w[..., : k + 1].sum(axis=-1)
+        # over a batch, one pass adds the squared columns left to right: for
+        # up to 7 terms the bits of sum(axis=-1) on each row, in any layout
+        val = cols[: k + 1].sum(axis=0)
         val += ssr
         val *= np.exp(w_lam)
         w_lam *= n
         val -= w_lam
         val *= -0.5
-        return val
+        return val.T
 
     def reference(theta):
         return np.asarray(theta, dtype=float)[..., k + 1]
@@ -474,7 +480,9 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
 
     def draw(rng, size):
         sigma = np.sqrt(ssr / rng.chisquare(n - k - 1, size))
-        theta = np.empty((size, k + 2))
+        # column-major: each coordinate's draws are one contiguous column,
+        # which the scale, the shift and the kernel's column sum run along
+        theta = np.empty((size, k + 2), order="F")
         beta = theta[:, : k + 1]
         np.matmul(rng.standard_normal((size, k + 1)), R_inv.T, out=beta)
         beta *= sigma[:, None]

@@ -10,7 +10,9 @@ depend on how many chains run.
 Exact draws.  Chain c takes `draws` points from one call of the model's
 `draw` on `default_rng(SeedSequence(seed).spawn(chains)[c])`; there is no
 burn-in, thinning or proposal scale, and every draw counts as accepted.
-One kernel call on all chains' points gives their log-kernels.
+One kernel call on all chains' points gives their log-kernels.  A model
+whose `draw` returns column-major arrays (the polynomial regression's) gets
+a column-major `SurpriseSample.draws`, of the same (M, d) shape.
 
 Random-walk Metropolis.  Chain c's stream, from
 `default_rng(SeedSequence(seed).spawn(chains)[c])`, is laid out as
@@ -232,16 +234,22 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
     log_s = lks.reshape(-1) - model.log_reference_at(draws)
 
     # stationarity smoke test (flag, not error): compare per-coordinate
-    # means of the two halves of each chain against 4 standard errors,
-    # reduced along the contiguous last axis of a (d, chains, half) copy
+    # means of the two halves of each chain against 4 standard errors.  Both
+    # halves go into one (2, d, chains * half) copy, read along contiguous
+    # runs of column-major draws, and its sums run along its last axis:
+    # the bits of mean(axis=-1) and var(axis=-1) on each half
     flags = np.zeros(d, dtype=bool)
     half = cfg.draws // 2
     if half >= 10:
-        series = retained.transpose(2, 0, 1)
-        first = series[..., :half].reshape(d, -1)
-        second = series[..., half:2 * half].reshape(d, -1)
-        se = np.sqrt(first.var(axis=-1) / half + second.var(axis=-1) / half) + 1e-300
-        flags = np.abs(first.mean(axis=-1) - second.mean(axis=-1)) > 4.0 * se
+        halves = (retained[:, : 2 * half].reshape(cfg.chains, 2, half, d)
+                  .transpose(1, 3, 0, 2).reshape(2, d, -1))
+        size = halves.shape[-1]
+        mean = halves.sum(axis=-1, keepdims=True) / size
+        dev = halves - mean
+        dev *= dev
+        var = dev.sum(axis=-1) / size
+        se = np.sqrt(var[0] / half + var[1] / half) + 1e-300
+        flags = np.abs(mean[0, :, 0] - mean[1, :, 0]) > 4.0 * se
 
     return SurpriseSample(
         draws=draws,
@@ -256,6 +264,8 @@ def _exact(model, kernel, cfg):
     """(draws, log-kernels, acceptance rates) of `cfg.draws` iid points
     per chain from the model's `draw`; see the module docstring."""
     seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
+    # column-major draws stay so: the concatenation keeps their layout, and
+    # splitting the row axis into (chains, draws) is a view
     draws = np.concatenate([model.draw(np.random.default_rng(seq), cfg.draws) for seq in seqs])
     lks = np.asarray(kernel(draws), dtype=float)
     return draws.reshape(cfg.chains, cfg.draws, -1), lks, np.ones(cfg.chains)

@@ -76,7 +76,10 @@ def _condensed_index(w: np.ndarray, n_max: int):
     if w.size <= n_max:
         return slice(None)
     idx = np.searchsorted(w, np.arange(1, n_max + 1) / n_max - 1e-15, side="left")
-    return np.unique(np.minimum(idx, w.size - 1))
+    np.minimum(idx, w.size - 1, out=idx)
+    # the levels increase, so idx does not decrease: dropping each repeat
+    # of its predecessor is np.unique without the sort
+    return idx[np.append(True, idx[1:] != idx[:-1])]
 
 
 def _ladder_from_sorted(log_v: np.ndarray, masses: np.ndarray, n_max: int, provenance: str) -> TruthLadder:

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import fbst
+from fbst import composition
 from fbst.cli import main
+from fbst.model import model_from_spec
 
 FAST = ["--draws", "20000", "--chains", "2", "--burnin", "2000"]
 
@@ -385,6 +387,36 @@ class TestCompose:
     def test_malformed_network_exits_2(self, tmp_path, capsys):
         net = write_spec(tmp_path, {"serial": []}, name="bad.json")
         assert main(["compose", net, "--seed", "0"]) == 2
+
+    def _hash_and_ev(self, capsys, net, burnin):
+        code, payload = run(capsys, ["compose", net, "--seed", "0", "--draws", "2000",
+                                     "--chains", "2", "--burnin", str(burnin)])
+        assert code == 0
+        return payload["manifest"]["config_hash"], payload["ev"]
+
+    def test_exact_draws_leave_burnin_out_of_config_hash(self, tmp_path, capsys):
+        net = write_spec(tmp_path, NET_SPEC, name="net.json")
+        low, high = (self._hash_and_ev(capsys, net, burnin) for burnin in (1000, 5000))
+        assert low == high
+        assert low[1] == pytest.approx(0.3145, abs=5e-5)
+
+    def test_random_walk_keeps_burnin_in_config_hash(self, tmp_path, capsys):
+        # one generic slot beside an exact one: a random walk runs
+        generic = {"family": "generic", "coordinates": ["u"], "log_kernel": "-(u - 1)^2 / 2"}
+        net = write_spec(tmp_path, {"serial": NET_SPEC["serial"] + [generic],
+                                    "disjuncts": [[{"equalities": ["theta"]}, None]]},
+                         name="net.json")
+        (low_hash, _), (high_hash, _) = (self._hash_and_ev(capsys, net, burnin)
+                                         for burnin in (1000, 5000))
+        assert low_hash != high_hash
+
+    def test_models_built_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(composition, "model_from_spec",
+                            lambda spec: built.append(spec) or model_from_spec(spec))
+        net = write_spec(tmp_path, NET_SPEC, name="net.json")
+        self._hash_and_ev(capsys, net, 1000)
+        assert built == NET_SPEC["serial"]
 
 
 NET_SPEC = {

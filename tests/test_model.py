@@ -437,6 +437,19 @@ class TestPolynomialRegressionFamily:
                 assert abs(value - exact) <= 1e-11
             assert abs(model.log_kernel(theta) - value) <= 1e-12
 
+    @pytest.mark.parametrize("k", range(9))
+    def test_kernel_bits_do_not_depend_on_layout(self, table2, k):
+        model = make_polynomial_regression_model(table2, k)
+        batch = model.draw(np.random.default_rng(k), 500)
+        rows = model.log_kernel(np.ascontiguousarray(batch))
+        assert np.array_equal(model.log_kernel(np.asfortranarray(batch)), rows)
+        # stacked batches keep their shape, each slab as if alone
+        slabs = np.ascontiguousarray(batch).reshape(2, 250, k + 2)
+        stacked = model.log_kernel(slabs)
+        assert stacked.shape == (2, 250)
+        assert all(np.array_equal(stacked[i], model.log_kernel(slabs[i])) for i in range(2))
+        assert np.ndim(model.log_kernel(batch[0])) == 0
+
     def test_dropping_the_top_coefficient_gives_the_lower_order_fit(self, table2):
         # the b_k = 0 projection of the order-k fit is the order-(k-1) fit
         for k in range(1, 6):

@@ -17,7 +17,9 @@ from fbst import (
     SamplerConfig,
     StatisticalModel,
     SurpriseSample,
+    coordinate_zero_hypothesis,
     effective_sample_size,
+    estimate_truth_ladder,
     evalue,
     gaussian_mean_evalue_oracle,
     make_gaussian_mean_model,
@@ -26,7 +28,7 @@ from fbst import (
     point_hypothesis,
     sample_posterior,
 )
-from fbst.model import least_squares
+from fbst.model import _qr_fit, least_squares
 from fbst.sampler import (
     CHUNK,
     PREFETCH,
@@ -511,6 +513,96 @@ class TestExactDraws:
                                                        OPENBLAS_NUM_THREADS=threads)).stdout
                    for threads in ("1", "2")}
         assert len(digests) == 1
+
+
+def _row_major_regression(data, k):
+    """The regression family's draw and kernel as they were before the
+    column-major layout: each chain's draws in a row-major (size, k + 2)
+    array, and |z|^2 summed over each row with sum(axis=-1)."""
+    _, R, R_inv, beta_hat, ssr = _qr_fit(data, k)
+    n = data.n
+    shift = np.append(beta_hat, 0.0)
+    factor = np.zeros((k + 2, k + 2))
+    factor[: k + 1, : k + 1] = R.T
+    factor[k + 1, k + 1] = -2.0
+
+    def _reference_kernel(theta):
+        w = (np.asarray(theta, dtype=float) - shift) @ factor
+        w_lam = w[..., k + 1].copy()
+        w *= w
+        val = w[..., : k + 1].sum(axis=-1)
+        val += ssr
+        val *= np.exp(w_lam)
+        w_lam *= n
+        val -= w_lam
+        val *= -0.5
+        return val
+
+    def _reference_draw(rng, size):
+        sigma = np.sqrt(ssr / rng.chisquare(n - k - 1, size))
+        theta = np.empty((size, k + 2))
+        beta = theta[:, : k + 1]
+        np.matmul(rng.standard_normal((size, k + 1)), R_inv.T, out=beta)
+        beta *= sigma[:, None]
+        beta += beta_hat
+        np.log(sigma, out=theta[:, k + 1])
+        return theta
+
+    model = make_polynomial_regression_model(data, k)
+    return dataclasses.replace(model, log_kernel=_reference_kernel, draw=_reference_draw)
+
+
+class TestColumnMajorDraws:
+    @pytest.mark.parametrize("chains", [1, 4])
+    @pytest.mark.parametrize("k", range(7))
+    def test_bits_equal_the_row_major_sample(self, table2, k, chains):
+        # up to 7 squared terms, the kernel adds its columns in the order
+        # that sum(axis=-1) adds a row
+        model = make_polynomial_regression_model(table2, k)
+        reference = _row_major_regression(table2, k)
+        cfg = SamplerConfig(seed=3 + k, chains=chains, draws=1_000)
+        got, want = sample_posterior(model, cfg), sample_posterior(reference, cfg)
+        assert got.draws.flags.f_contiguous and want.draws.flags.c_contiguous
+        _assert_same_sample(got, want)
+        assert np.array_equal(got.stationarity_flags, want.stationarity_flags)
+        got_ladder, want_ladder = estimate_truth_ladder(got), estimate_truth_ladder(want)
+        assert np.array_equal(got_ladder.log_v, want_ladder.log_v)
+        assert np.array_equal(got_ladder.w, want_ladder.w)
+        H = coordinate_zero_hypothesis(k, k + 2)
+        got_ev = evalue(model, H, got, ladder=got_ladder)
+        want_ev = evalue(reference, H, want, ladder=want_ladder)
+        assert (got_ev.ev, got_ev.sev, got_ev.ess) == (want_ev.ev, want_ev.sev, want_ev.ess)
+
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_eight_or_more_terms_move_log_s_by_rounding(self, table2, k):
+        # sum(axis=-1) groups 8 or more terms pairwise, the kernel adds its
+        # columns in order: the draws stay, log s moves in its last bits
+        cfg = SamplerConfig(seed=3, chains=4, draws=1_000)
+        got = sample_posterior(make_polynomial_regression_model(table2, k), cfg)
+        want = sample_posterior(_row_major_regression(table2, k), cfg)
+        assert np.array_equal(got.draws, want.draws)
+        rel = np.abs(got.log_surprise - want.log_surprise) / np.abs(want.log_surprise)
+        assert rel.max() <= 1e-15
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_stationarity_flags_compare_the_halves(self, order):
+        # coordinate 0 drifts within each chain; the flags are those of the
+        # halves' means and variances, whatever the draws' layout
+        def draw(rng, size):
+            theta = np.array(rng.standard_normal((size, 3)), order=order)
+            theta[:, 0] += np.linspace(0.0, 1.0, size)
+            return theta
+
+        space = ParameterSpace(("a", "b", "c"), np.full(3, -np.inf), np.full(3, np.inf))
+        model = StatisticalModel(space=space, log_kernel=lambda t: -0.5 * (t * t).sum(axis=-1),
+                                 draw=draw)
+        cfg = SamplerConfig(seed=0, chains=2, draws=1_001)
+        s = sample_posterior(model, cfg)
+        chains = s.draws.reshape(2, 1_001, 3)
+        first, second = chains[:, :500].reshape(-1, 3), chains[:, 500:1_000].reshape(-1, 3)
+        se = np.sqrt(first.var(axis=0) / 500 + second.var(axis=0) / 500) + 1e-300
+        want = np.abs(first.mean(axis=0) - second.mean(axis=0)) > 4.0 * se
+        assert np.array_equal(s.stationarity_flags, want) and want.tolist() == [True, False, False]
 
 
 class TestIndependence:

@@ -13,7 +13,7 @@ from fbst import (
     estimate_truth_ladder,
     eval_truth,
 )
-from fbst.truth import sup_distance
+from fbst.truth import _condensed_index, sup_distance
 
 
 # The previous ladder builders, kept as references: a stable argsort,
@@ -152,6 +152,22 @@ class TestCondense:
     def test_matches_reference(self, n_max):
         ladder = estimate_truth_ladder(iid_chi2_sample(3), n_max=4_000)
         assert_same_ladder(condense(ladder, n_max), _reference_condense(ladder, n_max))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_max", [2, 7, 512])
+    def test_index_matches_np_unique(self, seed, n_max):
+        # runs of ties: zero masses, and atoms heavy enough to span levels;
+        # a last mass below 1 clamps the top levels to the last index
+        rng = np.random.default_rng(seed)
+        masses = rng.exponential(size=2_000) * (rng.random(2_000) < 0.7)
+        masses[rng.integers(0, 2_000, size=5)] = rng.exponential(300.0, size=5)
+        for top in (1.0, 1.0 - 1e-13, 0.9):
+            w = np.cumsum(masses) / masses.sum() * top
+            idx = np.searchsorted(w, np.arange(1, n_max + 1) / n_max - 1e-15, side="left")
+            want = np.unique(np.minimum(idx, w.size - 1))
+            got = _condensed_index(w, n_max)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert _condensed_index(w[:n_max], n_max) == slice(None)
 
     def test_keeps_total_mass(self):
         rng = np.random.default_rng(2)
