@@ -35,7 +35,7 @@ from .sampler import (
     SamplerStuckError,
     sample_posterior,
 )
-from .truth import estimate_truth_ladder, eval_truth
+from .truth import sample_truth
 
 EXIT_OK = 0
 EXIT_LOGIC = 1
@@ -79,7 +79,7 @@ def _add_sampler_flags(p: argparse.ArgumentParser):
     p.add_argument("--draws", type=int, default=50_000, help="retained draws per chain")
     p.add_argument("--chains", type=int, default=4)
     p.add_argument("--burnin", type=int, default=10_000)
-    p.add_argument("--nmax", type=int, default=512, help="condensation bound")
+    p.add_argument("--nmax", type=int, default=512, help="condensation bound of composed ladders")
     p.add_argument("--out", default=None, help="write JSON output here too")
 
 
@@ -102,12 +102,11 @@ def cmd_ev(args) -> tuple:
     if model.draw is not None:
         del args.burnin  # exact draws read no burn-in: keep it out of config_hash
     sample = sample_posterior(model, cfg)
-    ladder = estimate_truth_ladder(sample, args.nmax)
-    report = evalue(model, hyp, sample, args.nmax, ladder=ladder)
+    report = evalue(model, hyp, sample, args.nmax)
     payload = report.to_dict()
     if args.threshold is not None:
         comp = maximize_surprise(model, complement(hyp), sample)
-        payload["ev_complement"] = float(eval_truth(ladder, comp.log_s_star))
+        payload["ev_complement"] = sample_truth(sample, comp.log_s_star)
         decision = gfbst_decide(report.ev, payload["ev_complement"], args.threshold)
         payload["decision"] = {0.0: "reject", 0.5: "agnostic", 1.0: "accept"}[decision.value]
     return payload, EXIT_OK
@@ -227,6 +226,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        if getattr(args, "nmax", 2) < 2:
+            raise SpecError("n_max must be at least 2")
         payload, code = args.fn(args)
         payload["manifest"] = _manifest(args.command, args, started)
         _emit(payload, args.out)

@@ -19,7 +19,7 @@ import numpy as np
 from .model import Hypothesis, StatisticalModel
 from .optimizer import Optimum, OptimizerConfig, maximize_surprise
 from .sampler import DegenerateSeriesError, SurpriseSample, effective_sample_size
-from .truth import TruthLadder, estimate_truth_ladder, eval_truth
+from .truth import TruthLadder, sample_truth
 
 
 def _load_special():
@@ -130,14 +130,16 @@ def evalue(
 ) -> EvidenceReport:
     """ev(H|X) = W(s*) from a posterior sample, with diagnostics.
 
-    `ladder` and `optimum` may be passed in when they were already computed
-    on the same sample; each one left out is computed here.
+    ev is the share of draws with log s <= log s* (`sample_truth`), read
+    from the whole sample: no ladder is built, and `n_max` is only echoed
+    in the report.  `optimum` may be passed in when it was already computed
+    on the same sample; left out, it is computed here.  `ladder` is
+    accepted and ignored: a ladder computed on the same sample could only
+    read ev coarser, on its 1/n_max grid.
     """
-    if ladder is None:
-        ladder = estimate_truth_ladder(sample, n_max)
     if optimum is None:
         optimum = maximize_surprise(model, H, sample, opt_cfg)
-    ev = float(eval_truth(ladder, optimum.log_s_star))
+    ev = sample_truth(sample, optimum.log_s_star)
     t = model.space.dimension
     try:
         ess = effective_sample_size(sample)

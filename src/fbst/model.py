@@ -23,7 +23,7 @@ class DomainError(ValueError):
 
 
 class SingularDesignError(ValueError):
-    """Design matrix X'X is numerically singular."""
+    """Design matrix numerically singular: cond(R) > 1e6 for X = QR."""
 
 
 class InfeasibleHypothesisError(ValueError):

@@ -10,6 +10,7 @@ depend on how many chains run.
 Exact draws.  Chain c takes `draws` points from one call of the model's
 `draw` on `default_rng(SeedSequence(seed).spawn(chains)[c])`; there is no
 burn-in, thinning or proposal scale, and every draw counts as accepted.
+The sample is marked `iid`, so its effective sample size is its size.
 One kernel call on all chains' points gives their log-kernels.  A model
 whose `draw` returns column-major arrays (the polynomial regression's) gets
 a column-major `SurpriseSample.draws`, of the same (M, d) shape.
@@ -51,7 +52,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Optional
 
 import numpy as np
 
@@ -86,7 +86,8 @@ class SamplerConfig:
     identical draws.
 
     Exact draws, on a model that sets `draw`, read `chains`, `draws` and
-    `seed` only: `burnin` and `thin` have no effect on them.  The random
+    `seed` only: `burnin` and `thin` have no effect on them, and their
+    `chains * draws` points are iid, so that is their ESS.  The random
     walk's proposal starts at 2.38 / sqrt(d) times the model's
     `proposal_chol` and adapts during burn-in; scale `proposal_chol` for
     another start.
@@ -119,8 +120,7 @@ class SurpriseSample:
     acceptance_rates: np.ndarray  # per chain
     config: SamplerConfig
     stationarity_flags: np.ndarray = field(default_factory=lambda: np.array([], dtype=bool))
-    # (log_surprise, config, ESS) as `effective_sample_size` last computed it
-    _ess: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    iid: bool = False  # exact independent draws, whose ESS is their count
 
     @property
     def size(self) -> int:
@@ -139,6 +139,7 @@ class SurpriseSample:
             "config": asdict(self.config),
             "acceptance_rates": self.acceptance_rates.tolist(),
             "stationarity_flags": self.stationarity_flags.tolist(),
+            "iid": self.iid,
         }
         with open(str(path) + ".json", "w") as fh:
             json.dump(sidecar, fh, indent=2)
@@ -158,6 +159,7 @@ class SurpriseSample:
             acceptance_rates=np.asarray(sidecar["acceptance_rates"]),
             config=SamplerConfig(**config),
             stationarity_flags=np.asarray(sidecar.get("stationarity_flags", []), dtype=bool),
+            iid=bool(sidecar.get("iid", False)),
         )
 
 
@@ -230,8 +232,14 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
 
     d = space.dimension
     draws = retained.reshape(cfg.chains * cfg.draws, d)
-    # logS = kernel - reference on the retained draws
-    log_s = lks.reshape(-1) - model.log_reference_at(draws)
+    # logS = kernel - reference on the retained draws, where the kernel is
+    # finite: a NaN is a reference undefined at a posterior point
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_s = lks.reshape(-1) - model.log_reference_at(draws)
+    undefined = np.count_nonzero(np.isnan(log_s))
+    if undefined:
+        raise ValueError(f"log reference density undefined (NaN) at {undefined} of "
+                         f"{log_s.size} posterior draws")
 
     # stationarity smoke test (flag, not error): compare per-coordinate
     # means of the two halves of each chain against 4 standard errors.  Both
@@ -257,6 +265,7 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
         acceptance_rates=rates,
         config=cfg,
         stationarity_flags=flags,
+        iid=model.draw is not None,
     )
 
 
@@ -452,23 +461,17 @@ def _ess_initial_positive(series: np.ndarray) -> float:
 
 
 def effective_sample_size(sample: SurpriseSample) -> float:
-    """ESS of the log-surprise series, summed over chains, capped at M.
-
-    Computed once per sample: the value is kept on the sample, keyed to its
-    `log_surprise` array and its `config`, so that rebinding either field
-    computes it afresh (editing the array in place does not).
-    """
+    """ESS of the log-surprise series: M itself for an iid sample, else
+    Geyer's initial-positive-sequence estimate summed over chains, capped
+    at M."""
     if sample.size < 100:
         raise ValueError("need at least 100 draws for an ESS estimate")
-    cached = sample._ess
-    if cached is not None and cached[0] is sample.log_surprise and cached[1] is sample.config:
-        return cached[2]
+    if sample.iid:
+        return float(sample.size)
     per_chain = sample.config.draws
     chains = sample.config.chains
     if per_chain * chains == sample.size:
         segments = sample.log_surprise.reshape(chains, per_chain)
     else:
         segments = sample.log_surprise[None, :]
-    ess = float(min(sum(_ess_initial_positive(seg) for seg in segments), sample.size))
-    sample._ess = (sample.log_surprise, sample.config, ess)
-    return ess
+    return float(min(sum(_ess_initial_positive(seg) for seg in segments), sample.size))

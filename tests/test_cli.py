@@ -118,19 +118,18 @@ class TestEv:
         code, payload = run(capsys, ["ev", spec, "--data", str(csv), "--seed", "0",
                                      "--threshold", "0.05"] + FAST)
         assert code == 0
-        # the figures of the version that estimated the ladder and the ESS
-        # once per evalue call
-        assert payload["ev"] == 0.009875
+        # ev counts the draws with log s <= log s*; the 512-point ladder
+        # that ev was read from before floored it to 0.009875
+        assert payload["ev"] == 0.010425
         assert payload["ev_complement"] == 1.0
         assert payload["decision"] == "reject"
         return calls
 
-    def test_decision_estimates_one_ladder(self, tmp_path, capsys, table2, monkeypatch):
-        import fbst.cli
-
+    def test_decision_builds_no_ladder(self, tmp_path, capsys, table2, monkeypatch):
+        # ev and ev_complement are read from the sample itself
         calls = self._decide_b2(tmp_path, capsys, table2, monkeypatch,
-                                fbst.cli, "estimate_truth_ladder")
-        assert len(calls) == 1
+                                fbst.TruthLadder, "__post_init__")
+        assert calls == []
 
     def test_decision_computes_one_ess(self, tmp_path, capsys, table2, monkeypatch):
         import sys
@@ -175,6 +174,19 @@ class TestEv:
         assert code == 4
         assert captured.out == ""
         assert "surprise diverges on the hypothesis set" in captured.err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_undefined_reference_exits_2(self, tmp_path, capsys):
+        # log(a) is NaN at the posterior's negative draws, about half of them
+        spec = write_spec(tmp_path, {
+            "family": "generic", "coordinates": ["a"], "log_kernel": "-(a^2)/2",
+            "log_reference": "log(a)", "hypothesis": {"equalities": ["a - 1"]},
+        })
+        code = main(["ev", spec, "--seed", "0", "--draws", "1000", "--burnin", "200", "--chains", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "log reference density undefined (NaN)" in captured.err
 
     @pytest.mark.parametrize("field, value, message", [
         ("mean", float("nan"), "mean must be finite"),
@@ -439,6 +451,22 @@ def test_out_file_holds_what_stdout_prints(tmp_path, capsys, argv, want_code):
     printed = capsys.readouterr().out
     assert out.read_text() == printed
     assert json.loads(printed)["manifest"]["command"] == argv[0]
+
+
+@pytest.mark.parametrize("nmax", ["1", "0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["ev", "GAUSS", "--seed", "0"] + FAST,
+    ["select", "--builtin", "sakamoto"],
+    ["select", "--builtin", "sakamoto", "--criterion", "fbst", "--seed", "0"] + FAST,
+    ["compose", "NET", "--seed", "0"] + FAST,
+])
+def test_nmax_below_two_exits_2(tmp_path, capsys, argv, nmax):
+    specs = {"GAUSS": GAUSS_SPEC, "NET": NET_SPEC}
+    argv = [write_spec(tmp_path, specs[a]) if a in specs else a for a in argv]
+    assert main(argv + ["--nmax", nmax]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_max must be at least 2" in captured.err
 
 
 def test_unwritable_out_file_exits_2_with_empty_stdout(tmp_path, capsys):

@@ -709,6 +709,21 @@ class TestEffectiveSampleSize:
         with pytest.raises(ValueError):
             effective_sample_size(s)
 
+    def test_exact_sample_is_its_size(self, table2, monkeypatch):
+        model = make_polynomial_regression_model(table2, 3)
+        cfg = SamplerConfig(seed=1, chains=4, draws=1_000, burnin=500)
+        exact, walk = sample_posterior(model, cfg), sample_posterior(_walk(model), cfg)
+        assert exact.iid and not walk.iid
+        series = []
+        inner = _ess_initial_positive
+        monkeypatch.setattr("fbst.sampler._ess_initial_positive",
+                            lambda x: series.append(x) or inner(x))
+        assert effective_sample_size(exact) == exact.size
+        assert series == []
+        # the random walk's autocorrelated series is still estimated
+        assert effective_sample_size(walk) < walk.size
+        assert len(series) == cfg.chains
+
 
 def _round_trip(sample, path):
     sample.to_csv(path)
@@ -717,6 +732,7 @@ def _round_trip(sample, path):
     for name in ("draws", "log_surprise", "acceptance_rates", "stationarity_flags"):
         assert np.array_equal(getattr(back, name), getattr(sample, name)), name
     assert back.config == sample.config
+    assert back.iid == sample.iid
 
 
 def _write_old_sidecar(path, sample, **removed):
@@ -750,6 +766,17 @@ class TestSerialization:
         sample = sample_posterior(model, SamplerConfig(seed=3, chains=2, draws=1_000, burnin=300))
         assert np.all(sample.acceptance_rates < 1.0)
         _round_trip(sample, tmp_path / "walk.csv")
+
+    def test_exact_round_trip_and_sidecar_without_iid(self, tmp_path):
+        sample = sample_posterior(make_gaussian_mean_model(0.0, 1.0),
+                                  SamplerConfig(seed=3, chains=2, draws=1_000))
+        assert sample.iid
+        _round_trip(sample, tmp_path / "exact.csv")
+        # a sidecar written before the field loads as not iid, so its ESS
+        # is estimated as it was then
+        path = tmp_path / "old.csv"
+        _write_old_sidecar(path, sample)
+        assert not SurpriseSample.from_csv(path).iid
 
     def test_sidecar_with_the_removed_fields_loads(self, tmp_path):
         sample = _manual_sample(_ar1(0.5, 1000, seed=5))

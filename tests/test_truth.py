@@ -13,7 +13,7 @@ from fbst import (
     estimate_truth_ladder,
     eval_truth,
 )
-from fbst.truth import _condensed_index, sup_distance
+from fbst.truth import _condensed_index, sample_truth, sup_distance
 
 
 # The previous ladder builders, kept as references: a stable argsort,
@@ -233,3 +233,29 @@ class TestEstimateTruthLadder:
         grid = np.linspace(ladder.log_v[0] - 1, ladder.log_v[-1] + 1, 200)
         vals = eval_truth(ladder, grid)
         assert np.all(np.diff(vals) >= 0)
+
+
+class TestSampleTruth:
+    # ties, both infinities and an odd spacing: the count reads every query
+    # as the uncondensed ladder of the same sample does
+    VALUES = np.array([-3.0, -1.0, -1.0, -np.inf, 0.0, -1.0, 2.0, np.inf, -3.0, 0.5, 1e-300])
+
+    def _sample(self):
+        return SurpriseSample(
+            draws=self.VALUES[:, None],
+            log_surprise=self.VALUES,
+            acceptance_rates=np.ones(1),
+            config=SamplerConfig(chains=1, draws=1_000, burnin=0),
+        )
+
+    def test_reads_the_uncondensed_ladder(self):
+        sample = self._sample()
+        ladder = estimate_truth_ladder(sample, n_max=sample.size)
+        queries = np.concatenate([self.VALUES, np.nextafter(self.VALUES, -np.inf), [-10.0, 10.0]])
+        for q in queries:
+            assert sample_truth(sample, q) == eval_truth(ladder, q), q
+        assert sample_truth(sample, -np.inf) == 0.0 and sample_truth(sample, np.inf) == 1.0
+
+    def test_nan_query_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            sample_truth(self._sample(), np.nan)
