@@ -167,8 +167,11 @@ def standardized_evalue(report: EvidenceReport) -> EvidenceReport:
     report.sev_bar = standardize(t, h, report.ev_bar)
     report.sev = 1.0 - report.sev_bar
     report.unstandardized = h == t
-    if report.ess and report.ev_bar < 1.0 / report.ess:
-        # the standardization is tail-sensitive; report the MC bracket
+    # the draws above log s*, counted free of the rounding in 1 - ev
+    above = round(report.ev_bar * report.draw_count)
+    if report.ess and report.draw_count and above * report.ess <= report.draw_count:
+        # ev_bar rests on at most one effective draw, where the
+        # standardization is tail-sensitive; report the MC bracket
         report.sev_interval = (
             1.0 - standardize(t, h, 2.0 / report.ess),
             1.0,

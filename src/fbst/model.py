@@ -369,8 +369,15 @@ def polynomial_design(x: np.ndarray, k: int) -> np.ndarray:
     return np.vander(np.asarray(x, dtype=float), k + 1, increasing=True)
 
 
-def _qr_fit(data: Dataset, k: int):
-    """(X, R, R^-1, beta_hat, ssr) from X = QR, R's diagonal positive."""
+def least_squares(data: Dataset, k: int):
+    """Order-k least-squares fit of y on x: (X, R, R^-1, beta_hat, ssr).
+
+    From one QR factorization X = QR, R's diagonal made positive, so that
+    R' is the Cholesky factor of X'X, which is never formed; beta_hat
+    solves R beta = Q'y (Bjorck, Numerical Methods for Least Squares
+    Problems, 1996, ch. 2).  Raises ValueError unless 0 <= k < n - 2, and
+    SingularDesignError when cond(X'X) = cond(R)^2 > 1e12.
+    """
     if k < 0:
         raise ValueError("order must be >= 0")
     if data.n <= k + 2:
@@ -387,31 +394,34 @@ def _qr_fit(data: Dataset, k: int):
     return X, R, np.linalg.inv(R), beta_hat, float(resid @ resid)
 
 
-def least_squares(data: Dataset, k: int):
-    """Order-k least-squares fit of y on x: (X, L_inv, beta_hat, ssr).
-
-    From one QR factorization X = QR, R's diagonal made positive: R' is the
-    Cholesky factor L of X'X (never formed), L_inv = R^-T, and beta_hat
-    solves R beta = Q'y.  Raises ValueError unless 0 <= k < n - 2, and
-    SingularDesignError when cond(X'X) = cond(R)^2 > 1e12.
-    """
-    X, _, R_inv, beta_hat, ssr = _qr_fit(data, k)
-    return X, R_inv.T, beta_hat, ssr
+def _inexact(fit):
+    """A `least_squares` fit, unless SSR = 0: there the posterior is improper."""
+    if fit[-1] == 0.0:
+        raise ValueError(f"order {fit[3].size - 1} fits the data exactly (SSR = 0), "
+                         "so the 1/sigma posterior is improper")
+    return fit
 
 
 def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
-    """Polynomial regression of order k with the weakly informative 1/sigma prior.
+    """Polynomial regression of order k with the weakly informative 1/sigma
+    prior: `_regression_model` on `least_squares(data, k)`.  Raises as
+    `least_squares` does, and ValueError when SSR = 0."""
+    return _regression_model(data.n, _inexact(least_squares(data, k)))
+
+
+def _regression_model(n: int, fit) -> StatisticalModel:
+    """The order-k polynomial regression on n observations from its
+    `least_squares` fit (X, R, R^-1, beta_hat, ssr), with ssr > 0.
 
     Parameters are (b0..bk, log_sigma); sigma is handled as log(sigma)
     internally so the space is unbounded.  The surprise function equals
     the posterior density in the (beta, sigma) coordinates.  All of it
-    reads the X = QR behind `least_squares`: the random walk's beta block
-    is sqrt(s2) R^-1, an upper-triangular factor of s2 (X'X)^-1, and
-    `draw` is the exact posterior (Gelman et al., Bayesian Data Analysis,
-    3rd ed., 14.2): sigma^2 = SSR / g with g ~ chi2(n - k - 1), then
+    reads that X = QR: the random walk's beta block is
+    sqrt(s2) R^-1, an upper-triangular factor of s2 (X'X)^-1, and `draw` is
+    the exact posterior (Gelman et al., Bayesian Data Analysis, 3rd ed.,
+    14.2): sigma^2 = SSR / g with g ~ chi2(n - k - 1), then
     beta = beta_hat + sigma z' R^-T with z ~ N(0, I), of covariance
-    sigma^2 R^-1 R^-T = sigma^2 (X'X)^-1 given sigma.  Raises ValueError
-    when SSR = 0, where the posterior is improper.
+    sigma^2 R^-1 R^-T = sigma^2 (X'X)^-1 given sigma.
 
     With lam = log_sigma, the log-kernel is
     -n lam - exp(-2 lam) (SSR + |X (beta - beta_hat)|^2) / 2, the Jacobian
@@ -421,10 +431,8 @@ def make_polynomial_regression_model(data: Dataset, k: int) -> StatisticalModel:
     z = (beta - beta_hat) R', of norm |X (beta - beta_hat)|, and
     w_lam = -2 lam: the kernel is -(exp(w_lam) (SSR + |z|^2) - n w_lam) / 2.
     """
-    _, R, R_inv, beta_hat, ssr = _qr_fit(data, k)
-    if ssr == 0.0:
-        raise ValueError("the fit is exact (SSR = 0), so the 1/sigma posterior is improper")
-    n = data.n
+    _, R, R_inv, beta_hat, ssr = fit
+    k = beta_hat.size - 1
     space = unbounded_space([f"b{i}" for i in range(k + 1)] + ["log_sigma"])
     shift = np.append(beta_hat, 0.0)
     factor = np.zeros((k + 2, k + 2))

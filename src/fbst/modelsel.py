@@ -18,9 +18,10 @@ import numpy as np
 from .evalue import evalue
 from .model import (
     Dataset,
+    _inexact,
+    _regression_model,
     coordinate_zero_hypothesis,
     least_squares,
-    make_polynomial_regression_model,
     polynomial_design,
 )
 from .sampler import SamplerConfig, sample_posterior
@@ -79,7 +80,7 @@ def penalty_factor(criterion: str, d: int, n: int) -> float:
 
 def aic(data: Dataset, k: int) -> float:
     """-2 maximized Gaussian log-likelihood + 2d, with d = k + 2."""
-    return _aic(empirical_error(data, k), data.n, k)
+    return _aic(_inexact(least_squares(data, k))[-1] / data.n, data.n, k)
 
 
 def _aic(sigma2: float, n: int, k: int) -> float:
@@ -111,21 +112,6 @@ class SelectionRow:
         return {"order": self.order, "d": self.d, **dataclasses.asdict(self)}
 
 
-def evalue_top_coefficient(
-    data: Dataset,
-    k: int,
-    sampler_cfg: Optional[SamplerConfig] = None,
-    n_max: int = 512,
-):
-    """ev(beta_k = 0) inside the order-k model."""
-    model = make_polynomial_regression_model(data, k)
-    dim = model.space.dimension
-    H = coordinate_zero_hypothesis(k, dim, label=f"b{k}=0")
-    cfg = sampler_cfg or SamplerConfig()
-    sample = sample_posterior(model, cfg)
-    return evalue(model, H, sample, n_max)
-
-
 def selection_table(
     data: Dataset,
     k_max: int,
@@ -135,26 +121,28 @@ def selection_table(
 ):
     """Rows for orders 0..k_max; e-value columns only when requested.
 
-    Every row's error columns come first, so an order whose fit fails
-    (SingularDesignError) raises before any sampling.
+    Every order is fitted once, all before any sampling, so an order whose
+    fit fails or is exact (SSR = 0) raises first.  Order k's columns and
+    its model read that fit; its sampler's seed is seed + 1000 k.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if k_max > data.n - 3:
         raise ValueError("k_max too large for the dataset")
     n = data.n
+    fits = [_inexact(least_squares(data, k)) for k in range(k_max + 1)]
+    base = sampler_cfg or SamplerConfig()
     rows = []
-    for k in range(k_max + 1):
-        r_emp = empirical_error(data, k)
+    for k, fit in enumerate(fits):
+        r_emp = fit[-1] / n
         penalized = {f"r_{c}": r_emp * penalty_factor(c, k + 2, n) for c in CRITERIA}
         rows.append(SelectionRow(order=k, r_emp=r_emp, **penalized, aic=_aic(r_emp, n, k)))
-    if with_evalues:
-        base = sampler_cfg or SamplerConfig()
-        for row in rows:
-            cfg = dataclasses.replace(base, seed=base.seed + 1000 * row.order)
-            report = evalue_top_coefficient(data, row.order, cfg, n_max)
-            row.ev = report.ev
-            row.sev = report.sev
+        if with_evalues:
+            model = _regression_model(n, fit)
+            sample = sample_posterior(model, dataclasses.replace(base, seed=base.seed + 1000 * k))
+            H = coordinate_zero_hypothesis(k, k + 2, label=f"b{k}=0")
+            report = evalue(model, H, sample, n_max)
+            rows[-1].ev, rows[-1].sev = report.ev, report.sev
     return rows
 
 
@@ -202,6 +190,6 @@ def fitted_curves(data: Dataset, k_max: int):
     xs = np.linspace(data.column("x").min(), data.column("x").max(), 101)
     curves = {"x": xs, "target": target_function(xs)}
     for k in range(k_max + 1):
-        beta = least_squares(data, k)[2]
+        beta = least_squares(data, k)[3]
         curves[f"order_{k}"] = polynomial_design(xs, k) @ beta
     return curves

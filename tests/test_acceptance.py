@@ -236,7 +236,7 @@ def test_c7_invariance_suite(table2, reg2_model, reg2_sample):
 
     # regression: direct-sigma coordinates against the built-in log-sigma ones
     k, n = 2, table2.n
-    X, L_inv, beta_hat, ssr = least_squares(table2, k)
+    X, _, R_inv, beta_hat, ssr = least_squares(table2, k)
     s2 = ssr / (n - k)
     XtX = X.T @ X
     sigma_hat = math.sqrt((n - k) * s2 / (n + 1))
@@ -250,7 +250,7 @@ def test_c7_invariance_suite(table2, reg2_model, reg2_sample):
         return -(n + 1) * np.log(sigma) - ((n - k) * s2 + quad) / (2.0 * sigma ** 2)
 
     chol = np.zeros((k + 2, k + 2))
-    chol[: k + 1, : k + 1] = np.linalg.cholesky(s2 * (L_inv.T @ L_inv))
+    chol[: k + 1, : k + 1] = np.linalg.cholesky(s2 * (R_inv @ R_inv.T))
     chol[k + 1, k + 1] = sigma_hat / math.sqrt(2.0 * (n - k))
     space = ParameterSpace(
         ("b0", "b1", "b2", "sigma"),

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from fbst import (
     Hypothesis,
+    Optimum,
     SamplerConfig,
     StatisticalModel,
     SurpriseSample,
@@ -214,6 +215,34 @@ class TestEvalue:
         lo, hi = rep.sev_interval
         assert lo <= rep.sev <= hi
         assert hi == 1.0
+
+    def test_sev_interval_for_one_draw_above(self, table2):
+        # the order-3 regression's b3 = 0 at seed 3000 and the CLI's 4 x 50 000
+        # draws: one draw lies above log s*, so ev_bar = 1 - 0.999995 reads
+        # 5.000000000032756e-06, above 1/ESS = 5e-06 in its last bits
+        from fbst import coordinate_zero_hypothesis, make_polynomial_regression_model
+
+        model = make_polynomial_regression_model(table2, 3)
+        sample = sample_posterior(model, SamplerConfig(seed=3000, chains=4, draws=50_000))
+        rep = evalue(model, coordinate_zero_hypothesis(3, 5), sample)
+        assert rep.ess == sample.size == 200_000
+        assert np.count_nonzero(sample.log_surprise > rep.log_s_star) == 1
+        assert rep.ev_bar > 1.0 / rep.ess
+        assert rep.sev_interval is not None
+        lo, hi = rep.sev_interval
+        assert lo <= rep.sev <= hi == 1.0
+
+    @pytest.mark.parametrize("above, bracketed", [(0, True), (1, True), (2, False)])
+    def test_sev_interval_counts_draws_above(self, gauss_model, above, bracketed):
+        # a hand-built iid sample of 1 000 draws, `above` of them over log s* = 0
+        log_s = np.full(1_000, -1.0)
+        log_s[:above] = 1.0
+        sample = SurpriseSample(np.zeros((1_000, 1)), log_s, np.ones(1),
+                                SamplerConfig(chains=1, draws=1_000), iid=True)
+        optimum = Optimum(0.0, np.zeros(1), "closed-form", 0.0, 0.0)
+        rep = evalue(gauss_model, point_hypothesis([0.0]), sample, optimum=optimum)
+        assert rep.ev == 1.0 - above / 1_000 and rep.ess == 1_000.0
+        assert (rep.sev_interval is not None) == bracketed
 
     def test_regression_top_coefficient(self, reg2_model, reg2_sample):
         from fbst import coordinate_zero_hypothesis

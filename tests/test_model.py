@@ -366,7 +366,7 @@ class TestPolynomialRegressionFamily:
     def test_exact_line_interpolates(self):
         x = np.linspace(0, 1, 12)
         data = Dataset(np.column_stack([x, 2.0 * x - 0.5]), ("x", "y"))
-        X, _, beta_hat, _ = least_squares(data, 1)
+        X, _, _, beta_hat, _ = least_squares(data, 1)
         assert np.max(np.abs(data.column("y") - X @ beta_hat)) < 1e-12
         # the fit leaves an SSR of 0, where the 1/sigma posterior is improper
         with pytest.raises(ValueError, match="improper"):
@@ -378,11 +378,11 @@ class TestPolynomialRegressionFamily:
         # normal equations there is off by 1.8e-10 and 3e-6, the QR fit by
         # 1.7e-13 and 1.5e-11
         want = np.array([float(b) for b in exact_fit(range(k + 1))[0]])
-        got = least_squares(table2, k)[2]
+        got = least_squares(table2, k)[3]
         assert np.max(np.abs(got - want) / np.abs(want)) <= 5e-11
 
     def test_order2_mean_squared_residual(self, table2):
-        assert least_squares(table2, 2)[3] / table2.n == pytest.approx(0.01130, abs=1e-4)
+        assert least_squares(table2, 2)[4] / table2.n == pytest.approx(0.01130, abs=1e-4)
 
     def test_normal_equations(self, table2):
         for k in range(5):
@@ -409,8 +409,8 @@ class TestPolynomialRegressionFamily:
         m = make_polynomial_regression_model(table2, 8)
         C = m.proposal_chol
         cov = (C @ C.T)[:9, :9]
-        _, L_inv, _, ssr = least_squares(table2, 8)
-        ref = ssr / (table2.n - 8) * (L_inv.T @ L_inv)
+        _, _, R_inv, _, ssr = least_squares(table2, 8)
+        ref = ssr / (table2.n - 8) * (R_inv @ R_inv.T)
         assert np.max(np.abs(cov - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(C, np.triu(C))
 
@@ -423,7 +423,7 @@ class TestPolynomialRegressionFamily:
         # factor of X is off by about 1.7e-10.
         mp = pytest.importorskip("mpmath")
         model = make_polynomial_regression_model(table2, k)
-        X, _, beta_hat, ssr = least_squares(table2, k)
+        X, _, _, beta_hat, ssr = least_squares(table2, k)
         steps = np.random.default_rng(k).standard_normal((4, k + 2)) @ model.proposal_chol.T
         points = np.vstack([model.mode, model.mode + 2.38 / math.sqrt(k + 2) * steps])
         got = model.log_kernel(points)

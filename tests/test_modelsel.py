@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from fbst import (
+    Dataset,
     SamplerConfig,
     SingularDesignError,
     benchmark_dataset,
+    coordinate_zero_hypothesis,
     empirical_error,
+    evalue,
     make_polynomial_regression_model,
     penalty_factor,
     sample_posterior,
@@ -19,7 +22,6 @@ from fbst.cli import main
 from fbst.model import least_squares
 from fbst.modelsel import (
     aic,
-    evalue_top_coefficient,
     fitted_curves,
     selection_table,
     synthesize_dataset,
@@ -42,6 +44,18 @@ REFERENCE_ERRORS = np.array(
 FAST_CFG = SamplerConfig(seed=0, chains=2, draws=5_000, burnin=1_000)
 
 
+def top_coefficient_evalue(data, k, cfg):
+    """ev(b_k = 0) in the order-k model, built and sampled on its own."""
+    model = make_polynomial_regression_model(data, k)
+    return evalue(model, coordinate_zero_hypothesis(k, k + 2), sample_posterior(model, cfg))
+
+
+def exact_line():
+    """12 points on y = 2x - 0.5, which orders >= 1 fit with SSR = 0."""
+    x = np.linspace(0, 1, 12)
+    return Dataset(np.column_stack([x, 2.0 * x - 0.5]), ("x", "y"))
+
+
 class TestEmpiricalError:
     def test_reference_column(self, table2):
         for k in range(6):
@@ -61,7 +75,7 @@ class TestEmpiricalError:
         n = table2.n
         for k in range(9):
             model = make_polynomial_regression_model(table2, k)
-            _, _, beta_hat, ssr = least_squares(table2, k)
+            _, _, _, beta_hat, ssr = least_squares(table2, k)
             assert empirical_error(table2, k) == ssr / n
             assert np.array_equal(model.mode[:-1], beta_hat)
             assert model.mode[-1] == 0.5 * math.log((n - k) * (ssr / (n - k)) / (n + 1))
@@ -145,8 +159,33 @@ class TestSelectionTable:
         rows = selection_table(table2, 2, cfg, with_evalues=True)
         for row in rows:
             own = SamplerConfig(seed=7 + 1000 * row.order, chains=2, draws=1_000, burnin=200)
-            report = evalue_top_coefficient(table2, row.order, own)
+            report = top_coefficient_evalue(table2, row.order, own)
             assert (row.ev, row.sev) == (report.ev, report.sev)
+
+    def test_one_qr_factorization_per_order(self, table2, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a: calls.append(a) or qr(*a))
+        out = select_order(table2, 5, "fbst", sampler_cfg=SamplerConfig(seed=0, draws=1_000))
+        assert out["selected_order"] == 2
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("criterion", ["sbc", "aic", "fbst"])
+    def test_exact_fit_fails_before_sampling(self, monkeypatch, criterion):
+        calls = []
+
+        def counting_sampler(model, cfg):
+            calls.append(cfg.seed)
+            return sample_posterior(model, cfg)
+
+        monkeypatch.setattr(modelsel, "sample_posterior", counting_sampler)
+        with pytest.raises(ValueError, match=r"order 1 fits the data exactly \(SSR = 0\)"):
+            select_order(exact_line(), 3, criterion, sampler_cfg=FAST_CFG)
+        assert calls == []
+
+    def test_exact_fit_has_no_aic(self):
+        with pytest.raises(ValueError, match=r"order 1 fits the data exactly \(SSR = 0\)"):
+            aic(exact_line(), 1)
 
 
 class TestAic:
@@ -159,8 +198,6 @@ class TestAic:
         assert aic(table2, 0) == pytest.approx(-5.57, abs=0.05)
 
     def test_shift_cancels_in_differences(self, table2):
-        from fbst import Dataset
-
         shifted = Dataset(
             np.column_stack([table2.column("x"), table2.column("y") + 10.0]), ("x", "y")
         )
@@ -199,8 +236,6 @@ class TestSelectOrder:
     def test_fbst_defaults_to_zero_when_nothing_rejects(self):
         # constant data: no polynomial coefficient is ever needed
         rng = np.random.default_rng(0)
-        from fbst import Dataset
-
         x = np.arange(21) * 0.05
         y = 1.0 + rng.normal(0, 1e-3, size=21)
         data = Dataset(np.column_stack([x, y]), ("x", "y"))
@@ -210,11 +245,11 @@ class TestSelectOrder:
 
 class TestEvalueColumn:
     def test_order2_rejects_null(self, table2):
-        rep = evalue_top_coefficient(table2, 2, FAST_CFG)
+        rep = top_coefficient_evalue(table2, 2, FAST_CFG)
         assert rep.ev < 0.06
 
     def test_order3_keeps_null(self, table2):
-        rep = evalue_top_coefficient(table2, 3, FAST_CFG)
+        rep = top_coefficient_evalue(table2, 3, FAST_CFG)
         assert rep.ev > 0.9
 
 
@@ -260,3 +295,13 @@ class TestSelectCli:
             assert main(argv + self.FAST) == 2
             errors.append(capsys.readouterr().err)
         assert errors == ["error: X'X is numerically singular\n"] * 2
+
+    def test_exact_fit_exits_2_under_every_criterion(self, tmp_path, capsys):
+        csv = tmp_path / "line.csv"
+        exact_line().to_csv(csv)
+        for criterion in ("sbc", "fbst"):
+            argv = ["select", "--data", str(csv), "--kmax", "3", "--criterion", criterion]
+            assert main(argv + self.FAST) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "order 1 fits the data exactly (SSR = 0)" in captured.err

@@ -54,7 +54,7 @@ class TestClosedForm:
 
     def test_regression_unconstrained_sigma(self, reg2_model, table2):
         opt = maximize_surprise(reg2_model, Hypothesis())
-        _, _, beta_hat, ssr = least_squares(table2, 2)
+        _, _, _, beta_hat, ssr = least_squares(table2, 2)
         sigma2 = ssr / (table2.n + 1)
         assert np.allclose(opt.theta_star[:3], beta_hat)
         assert opt.theta_star[3] == pytest.approx(0.5 * math.log(sigma2))

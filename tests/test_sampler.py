@@ -28,7 +28,7 @@ from fbst import (
     point_hypothesis,
     sample_posterior,
 )
-from fbst.model import _qr_fit, least_squares
+from fbst.model import least_squares
 from fbst.sampler import (
     CHUNK,
     PREFETCH,
@@ -449,7 +449,7 @@ class TestExactDraws:
     def test_regression_moments(self, table2, k):
         # beta is t about beta_hat with covariance SSR / (n - k - 3) (X'X)^-1,
         # and E[sigma^2] = SSR / (n - k - 3)
-        X, _, beta_hat, ssr = least_squares(table2, k)
+        X, _, _, beta_hat, ssr = least_squares(table2, k)
         cov = ssr / (table2.n - k - 3) * np.linalg.inv(X.T @ X)
         s = sample_posterior(make_polynomial_regression_model(table2, k),
                              SamplerConfig(seed=2, chains=4, draws=50_000))
@@ -519,7 +519,7 @@ def _row_major_regression(data, k):
     """The regression family's draw and kernel as they were before the
     column-major layout: each chain's draws in a row-major (size, k + 2)
     array, and |z|^2 summed over each row with sum(axis=-1)."""
-    _, R, R_inv, beta_hat, ssr = _qr_fit(data, k)
+    _, R, R_inv, beta_hat, ssr = least_squares(data, k)
     n = data.n
     shift = np.append(beta_hat, 0.0)
     factor = np.zeros((k + 2, k + 2))
