@@ -41,14 +41,23 @@ def mellin_convolve(w1: TruthLadder, w2: TruthLadder, n_max: int = 512) -> Truth
     come out in pair-index order. Distinct sums that share a quantum are
     put in exact order by a stable argsort, run only when an inversion is
     left. The order is that of a stable argsort of the sums, infinite
-    supports included, and so is the ladder, bit for bit.
+    supports included, and so is the ladder, bit for bit. Finite sums in
+    distinct quanta have no ties, and only their kept supports are formed.
     """
     w1c, w2c = condense(w1, _SIDE_CAP), condense(w2, _SIDE_CAP)
     a, b = w1c.log_v, w2c.log_v
     sums, index, sorted_sums = _stable_pair_order(a, b)
     # the masses' outer product reuses the sums' row, now gathered
     np.multiply.outer(w1c.atom_masses(), w2c.atom_masses(), out=sums.reshape(a.size, b.size))
-    return _ladder_from_sorted(sorted_sums, np.take(sums, index), n_max, "convolved")
+    if sorted_sums is not None:
+        return _ladder_from_sorted(sorted_sums, np.take(sums, index), n_max, "convolved")
+    masses = np.take(sums, index, out=sums.base[1], mode="clip")  # into the free row
+
+    def support(kept):  # the kept pairs' sums, the bits of np.add.outer's
+        i, j = np.divmod(index[kept], b.size)
+        return a[i] + b[j]
+
+    return _ladder_from_sorted(None, masses, n_max, "convolved", support)
 
 
 def _stable_pair_order(a: np.ndarray, b: np.ndarray):
@@ -56,7 +65,9 @@ def _stable_pair_order(a: np.ndarray, b: np.ndarray):
     .ravel() of two increasing supports and their stable argsort `order`,
     from one in-place sort of int64 keys: the pair index in the low
     bit_length(N - 1) bits and, above them, the sum quantized as
-    (sum - least finite sum) * scale, monotone in the sum.
+    (sum - least finite sum) * scale, monotone in the sum.  None stands for
+    sums[order] when the sums are finite and in distinct quanta (so
+    increasing), and the block's middle row is then free.
 
     The three are rows of one block, so that the caller holds at most four
     pair-sized arrays at once, and so that glibc's malloc reuses the block
@@ -76,7 +87,8 @@ def _stable_pair_order(a: np.ndarray, b: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite span
         np.subtract(sums, lo, out=gathered)
         gathered *= top / span if 0.0 < span < math.inf else 0.0
-    if fa.size < a.size or fb.size < b.size or span == math.inf:
+    nonfinite = fa.size < a.size or fb.size < b.size or span == math.inf
+    if nonfinite:
         # -inf shares key 0 with the least finite sum (the repair below
         # orders them); +inf and then NaN rank above every finite sum
         np.nan_to_num(gathered, copy=False, nan=3 * top, posinf=2 * top, neginf=0.0)
@@ -86,7 +98,10 @@ def _stable_pair_order(a: np.ndarray, b: np.ndarray):
     grid += (np.arange(a.size, dtype=np.int64) * b.size)[:, None]
     grid += np.arange(b.size, dtype=np.int64)
     key.sort()
+    quanta = np.right_shift(key, bits, out=gathered.view(np.int64))
     key &= (1 << bits) - 1
+    if not nonfinite and np.all(quanta[1:] != quanta[:-1]):
+        return sums, key, None
     # mode="clip" (every index is in range) writes into `out` directly,
     # where "raise" would fill a pair-sized temporary first
     np.take(sums, key, out=gathered, mode="clip")

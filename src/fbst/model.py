@@ -8,7 +8,7 @@ reference density is flat (log r == 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -102,8 +102,12 @@ class StatisticalModel:
     it (a generic model) `mode` is only a start.  `draw(rng, size)`
     returns `size` iid points of the posterior as a (size, d) array, read
     from the numpy Generator `rng`; a model that sets it is sampled by
-    these exact draws, and any other (`dataclasses.replace(model,
-    draw=None)` included) by the random walk.
+    these exact draws.  `laplace = (center, factor)`, which `model_from_spec`
+    sets on a generic model whose `_laplace_fit` passes, is a mode and a C
+    with C C' = (-Hessian of the log-kernel)^-1 there: its model is sampled
+    by independence Metropolis-Hastings unless the sampler's gate refuses.
+    Any other model, `dataclasses.replace(model, draw=None, laplace=None)`
+    included, is sampled by the random walk.
 
     The one evaluation rule, for one point or any batch: `log_kernel_safe`
     is -inf outside the bounds and where the kernel is NaN or +inf, and
@@ -118,6 +122,7 @@ class StatisticalModel:
     proposal_chol: Optional[np.ndarray] = None
     closed_form: Optional[Callable] = None
     draw: Optional[Callable] = None
+    laplace: Optional[tuple] = None
 
     def log_kernel_safe(self, theta) -> np.ndarray:
         """The rule's log-kernel; log(0) and NaN are values here, so numpy
@@ -152,6 +157,75 @@ def _on_rows(live, fn, theta, fill) -> np.ndarray:
     if live.any():
         out[live] = fn(theta[live])
     return out
+
+
+def _crude_mode_search(model: StatisticalModel, start: np.ndarray, iters: int = 100) -> np.ndarray:
+    """Coordinate search for a rough posterior mode (initialization only)."""
+    theta = start.astype(float).copy()
+    step = np.ones(theta.size)
+    best = float(model.log_kernel_safe(theta))
+    for _ in range(iters):
+        improved = False
+        for i in range(theta.size):
+            for sign in (1.0, -1.0):
+                cand = theta.copy()
+                cand[i] += sign * step[i]
+                val = float(model.log_kernel_safe(cand))
+                if val > best:
+                    theta, best = cand, val
+                    improved = True
+        if not improved:
+            step *= 0.5
+            if np.all(step < 1e-10):
+                break
+    return theta
+
+
+def _laplace_fit(model: StatisticalModel):
+    """(center, factor) of the kernel's Laplace approximation, or None:
+    Newton's method from the space's center, else from `_crude_mode_search`'s
+    point, with gradient g and Hessian H by central differences from one
+    kernel call an iterate on a stencil of 1 + 2d + 2d(d - 1) points, and a
+    step that does not ascend halved.  It ends where -H = L L' and
+    g' (-H)^-1 g < 1e-10, with factor L^-T.  Warns of nothing."""
+    d = model.space.dimension
+    eye = np.eye(d)
+    i, j = np.triu_indices(d, 1)
+    sign = np.array([1.0, -1.0])[:, None, None, None]
+    # 0, +e_i, -e_i, then s e_i + t e_j for i < j and (s, t) in ++, +-, -+, --
+    stencil = np.concatenate([np.zeros((1, d)), eye, -eye,
+                              (sign * eye[i] + sign.swapaxes(0, 1) * eye[j]).reshape(-1, d)])
+    center = model.space.center()
+    with np.errstate(all="ignore"):
+        for x in (center, None):
+            x = _crude_mode_search(model, center) if x is None else x
+            best, step = -math.inf, np.zeros(d)
+            for _ in range(60):
+                h = 1e-4 * np.maximum(1.0, np.abs(x))
+                f = model.log_kernel_safe(x + stencil * h)
+                if not f[0] > best:  # no ascent: halve the step back
+                    if not step.any():
+                        break
+                    step /= 2.0
+                    x = x - step
+                    continue
+                plus, minus = f[1 : d + 1], f[d + 1 : 2 * d + 1]
+                cross = f[2 * d + 1 :].reshape(2, 2, -1)
+                grad = (plus - minus) / (2.0 * h)
+                neg_hess = np.diag((2.0 * f[0] - plus - minus) / (h * h))
+                neg_hess[i, j] = neg_hess[j, i] = (
+                    cross[0, 1] + cross[1, 0] - cross[0, 0] - cross[1, 1]) / (4.0 * h[i] * h[j])
+                if not (np.all(np.isfinite(neg_hess)) and np.all(np.isfinite(grad))):
+                    break
+                try:
+                    chol = np.linalg.cholesky(neg_hess)
+                except np.linalg.LinAlgError:
+                    break
+                step = np.linalg.solve(neg_hess, grad)
+                if grad @ step < 1e-10:
+                    return x, np.linalg.inv(chol).T
+                best, x = f[0], x + step
+    return None
 
 
 def log_surprise(model: StatisticalModel, theta) -> np.ndarray:
@@ -587,6 +661,7 @@ def model_from_spec(spec: dict, data: Optional[Dataset] = None):
         ref_text = spec.get("log_reference")
         reference = compile_expression(ref_text, names) if ref_text else None
         model = StatisticalModel(space=space, log_kernel=kernel, log_reference=reference)
+        model = replace(model, laplace=_laplace_fit(model))
     else:
         raise SpecError(f"unknown model family {family!r}")
     hyp = None

@@ -1,11 +1,13 @@
 """Seeded posterior sampling and basic convergence diagnostics.
 
 The model picks the sampler: exact iid draws on a model that sets `draw`
-(the built-in families), random-walk Metropolis on any other.  Each chain
-draws its randomness from its own child of `SeedSequence(seed).spawn(chains)`,
-so serial and (hypothetical) parallel execution produce bit-identical
-output for a fixed model and configuration, and chain c's draws do not
-depend on how many chains run.
+(the built-in families), independence Metropolis-Hastings on one that sets
+`laplace` (a generic spec model whose Laplace fit passed) when its gate
+passes, random-walk Metropolis on any other.  Each chain draws its
+randomness from its own child of `SeedSequence(seed).spawn(chains)`, so
+serial and (hypothetical) parallel execution produce bit-identical output
+for a fixed model and configuration, and chain c's draws do not depend on
+how many chains run.
 
 Exact draws.  Chain c takes `draws` points from one call of the model's
 `draw` on `default_rng(SeedSequence(seed).spawn(chains)[c])`; there is no
@@ -14,6 +16,19 @@ The sample is marked `iid`, so its effective sample size is its size.
 One kernel call on all chains' points gives their log-kernels.  A model
 whose `draw` returns column-major arrays (the polynomial regression's) gets
 a column-major `SurpriseSample.draws`, of the same (M, d) shape.
+
+Independence Metropolis-Hastings.  The proposal is a multivariate t with
+NU degrees of freedom at the fit (center m, factor C): x = m + (z C')
+sqrt(NU / g), z ~ N(0, I_d), g ~ chi2(NU), whose log density is
+-(NU + d)/2 log1p(|z|^2 / g) up to a constant.  Chain c's child seed
+spawns three generators, for the normals, the chi-squares and the
+log-uniforms, each read CHUNK steps at a time.  A chain starts at m; a
+step accepts iff log u < w - w_current, w = log kernel - log q, and draws
+are kept as the random walk keeps them.  The gate: when the Pareto k-hat
+of the weights exp(w) of every chain's first chunk is above KHAT_MAX, the
+random walk runs instead, bit for bit as on the model without its fit.
+So chain c's draws do not depend on the chain count once the gate has
+chosen, but near KHAT_MAX the choice can.
 
 Random-walk Metropolis.  Chain c's stream, from
 `default_rng(SeedSequence(seed).spawn(chains)[c])`, is laid out as
@@ -55,7 +70,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .model import StatisticalModel
+from .model import StatisticalModel, _crude_mode_search
 
 # Steps of randomness generated at a time; bounds the sampler's random
 # buffers and changes no draw.
@@ -66,6 +81,10 @@ CHUNK = 1024
 # constrained-ev's generic models (see the README's Sampling section).
 PREFETCH = 6
 PREFETCH2 = 4
+# The independence sampler's t degrees of freedom, and the largest Pareto
+# k-hat at which it runs (Vehtari et al. 2024: above 0.7, weights' tails are too heavy)
+NU = 4
+KHAT_MAX = 0.7
 
 
 class SamplerStuckError(RuntimeError):
@@ -87,10 +106,10 @@ class SamplerConfig:
 
     Exact draws, on a model that sets `draw`, read `chains`, `draws` and
     `seed` only: `burnin` and `thin` have no effect on them, and their
-    `chains * draws` points are iid, so that is their ESS.  The random
-    walk's proposal starts at 2.38 / sqrt(d) times the model's
-    `proposal_chol` and adapts during burn-in; scale `proposal_chol` for
-    another start.
+    `chains * draws` points are iid, so that is their ESS.  The two
+    Metropolis samplers read every field.  The random walk's proposal
+    starts at 2.38 / sqrt(d) times the model's `proposal_chol` and adapts
+    during burn-in; scale `proposal_chol` for another start.
     """
 
     chains: int = 4
@@ -163,28 +182,6 @@ class SurpriseSample:
         )
 
 
-def _crude_mode_search(model: StatisticalModel, start: np.ndarray, iters: int = 100) -> np.ndarray:
-    """Coordinate search for a rough posterior mode (initialization only)."""
-    theta = start.astype(float).copy()
-    step = np.ones(theta.size)
-    best = float(model.log_kernel_safe(theta))
-    for _ in range(iters):
-        improved = False
-        for i in range(theta.size):
-            for sign in (1.0, -1.0):
-                cand = theta.copy()
-                cand[i] += sign * step[i]
-                val = float(model.log_kernel_safe(cand))
-                if val > best:
-                    theta, best = cand, val
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if np.all(step < 1e-10):
-                break
-    return theta
-
-
 def _initial_point(model: StatisticalModel) -> np.ndarray:
     if model.mode is not None:
         return np.asarray(model.mode, dtype=float)
@@ -227,8 +224,11 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
     # exact draws are posterior points, where the kernel is finite
     unbounded = np.all(space.lower == -np.inf) and np.all(space.upper == np.inf)
     kernel = model.log_kernel if unbounded else model.log_kernel_safe
-    run = _metropolis if model.draw is None else _exact
+    run = _metropolis if model.laplace is None else _independence
+    run = run if model.draw is None else _exact
     retained, lks, rates = run(model, kernel, cfg)
+    if np.any(rates == 0.0):
+        raise SamplerStuckError("a chain rejected every proposal after adaptation")
 
     d = space.dimension
     draws = retained.reshape(cfg.chains * cfg.draws, d)
@@ -280,6 +280,90 @@ def _exact(model, kernel, cfg):
     return draws.reshape(cfg.chains, cfg.draws, -1), lks, np.ones(cfg.chains)
 
 
+def _kept(first: int, n: int, cfg: SamplerConfig):
+    """(position of the first post-burn-in step, positions of the retained
+    states, and their slots among the retained draws) within the chunk of
+    n steps from step `first`."""
+    lo = min(max(cfg.burnin - first, 0), n)
+    kept = np.arange(lo + (cfg.burnin - first - lo) % cfg.thin, n, cfg.thin)
+    before = max(0, -((cfg.burnin - first) // cfg.thin))  # retained before `first`
+    return lo, kept, slice(before, before + kept.size)
+
+
+def _pareto_khat(log_w: np.ndarray) -> float:
+    """Pareto k-hat of the weights exp(log_w), a non-finite value read as
+    weight 0: the shape of a generalized Pareto fit to the excesses of the
+    largest M = ceil(min(0.2 S, 3 sqrt(S))) of the S weights over the next,
+    by Zhang & Stephens' (2009) profile likelihood with the weak prior of
+    PSIS (Vehtari et al. 2024); +inf when fewer than 5 excesses are left."""
+    x = np.sort(np.where(np.isfinite(log_w), log_w, -np.inf))
+    if not x[-1] > -np.inf:
+        return math.inf
+    x -= x[-1]
+    tail_len = math.ceil(min(0.2 * x.size, 3.0 * math.sqrt(x.size)))
+    cutoff = max(x[-tail_len - 1], math.log(np.finfo(float).tiny))
+    tail = np.exp(x[x > cutoff]) - math.exp(cutoff)
+    n = tail.size
+    if n < 5:
+        return math.inf
+    m = 30 + math.isqrt(n)
+    grid = 1.0 - np.sqrt(m / (np.arange(1, m + 1) - 0.5))
+    theta = 1.0 / tail[-1] + grid / (3.0 * tail[(n + 2) // 4 - 1])  # scaled by the first quartile
+    k = np.log1p(-theta[:, None] * tail).mean(axis=1)
+    profile = n * (np.log(-theta / k) - k - 1.0)
+    weight = np.exp(profile - profile.max())
+    k_hat = np.log1p(-(weight @ theta / weight.sum()) * tail).mean()
+    return (n * k_hat + 5.0) / (n + 10.0)
+
+
+def _independence(model, kernel, cfg):
+    """(draws, log-kernels, acceptance rates) of independence
+    Metropolis-Hastings from the t proposal at the model's Laplace fit, or
+    of `_metropolis` when the gate refuses; see the module docstring."""
+    center, factor = model.laplace
+    chains, d = cfg.chains, center.size
+    steps = cfg.burnin + cfg.draws * cfg.thin
+    streams = [[np.random.default_rng(s) for s in seq.spawn(3)]
+               for seq in np.random.SeedSequence(cfg.seed).spawn(chains)]
+    current = np.tile(center, (chains, 1))
+    cur_lk = [float(model.log_kernel_safe(center))] * chains
+    cur_w = list(cur_lk)  # log q is 0 at the center
+    retained = np.empty((chains, cfg.draws, d))
+    retained_lk = np.empty((chains, cfg.draws))
+    accepted_after = np.zeros(chains)
+    for first in range(0, steps, CHUNK):
+        n = min(CHUNK, steps - first)
+        z, g = np.empty((chains, n, d)), np.empty((chains, n, 1))
+        for c, (normals, chi2, _) in enumerate(streams):
+            normals.standard_normal(out=z[c])
+            g[c, :, 0] = chi2.chisquare(NU, n)
+        prop = center + (z @ factor.T) * np.sqrt(NU / g)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lk = np.asarray(kernel(prop.reshape(-1, d)), dtype=float).reshape(chains, n)
+            # w = log kernel - log q, log q = -(NU + d) / 2 log1p(|z|^2 / g)
+            w = lk + 0.5 * (NU + d) * np.log1p(np.einsum("...i,...i->...", z, z) / g[..., 0])
+            if first == 0 and not _pareto_khat(w.ravel()) <= KHAT_MAX:
+                return _metropolis(model, kernel, cfg)
+        lo, kept, span = _kept(first, n, cfg)
+        for c in range(chains):
+            u, now, at = np.log(streams[c][2].random(n)).tolist(), cur_w[c], []
+            for j, wj in enumerate(w[c].tolist()):
+                # now is finite, so NaN compares False; +inf is rejected
+                if u[j] < wj - now and wj < math.inf:
+                    at.append(j)
+                    now = wj
+            cur_w[c] = now
+            at = np.array(at, dtype=np.intp)
+            accepted_after[c] += at.size - np.searchsorted(at, lo)
+            states = np.concatenate([current[c, None], prop[c, at]])
+            state_lks = np.concatenate([[cur_lk[c]], lk[c, at]])
+            last = np.searchsorted(at, kept, side="right")
+            retained[c, span] = states[last]
+            retained_lk[c, span] = state_lks[last]
+            current[c], cur_lk[c] = states[-1], state_lks[-1]
+    return retained, retained_lk, accepted_after / (cfg.draws * cfg.thin)
+
+
 def _metropolis(model, kernel, cfg):
     """(draws, log-kernels, acceptance rates) of adaptive random-walk
     Metropolis in rounds of proposal trees; see the module docstring."""
@@ -324,7 +408,6 @@ def _metropolis(model, kernel, cfg):
     retained = np.empty((chains, cfg.draws, d))
     retained_lk = np.empty((chains, cfg.draws))
     accepted_after = np.zeros(chains)
-    keep = 0
     log_scale = np.full(chains, math.log(2.38 / math.sqrt(d)))
     scale = np.exp(log_scale)
     block_acc = [0] * chains
@@ -419,10 +502,7 @@ def _metropolis(model, kernel, cfg):
         # Retention, deferred to the chunk's end: a chain's state after step
         # t is its chunk-start state plus its moves accepted up to t, added
         # in the order the steps added them.  A burn-in chunk keeps nothing.
-        lo = min(max(cfg.burnin - first, 0), n)
-        kept = np.arange(lo + (cfg.burnin - first - lo) % cfg.thin, n, cfg.thin)
-        span = slice(keep, keep + kept.size)
-        keep += kept.size
+        lo, kept, span = _kept(first, n, cfg)
         for c in range(chains):
             at = np.array(accepted_at[c], dtype=np.intp)
             accepted_after[c] += at.size - np.searchsorted(at, lo)
@@ -434,10 +514,7 @@ def _metropolis(model, kernel, cfg):
             retained[c, span] = states[last]
             retained_lk[c, span] = state_lks[last]
 
-    rates = accepted_after / max(cfg.draws * cfg.thin, 1)
-    if np.any(rates == 0.0):
-        raise SamplerStuckError("a chain rejected every proposal after adaptation")
-    return retained, retained_lk, rates
+    return retained, retained_lk, accepted_after / max(cfg.draws * cfg.thin, 1)
 
 
 def _ess_initial_positive(series: np.ndarray) -> float:

@@ -96,19 +96,24 @@ def _condensed_index(w: np.ndarray, n_max: int):
     return idx[np.append(True, idx[1:] != idx[:-1])]
 
 
-def _ladder_from_sorted(log_v: np.ndarray, masses: np.ndarray, n_max: int, provenance: str) -> TruthLadder:
+def _ladder_from_sorted(log_v, masses: np.ndarray, n_max: int, provenance: str,
+                        support=None) -> TruthLadder:
     """Ladder of at most n_max points from sorted support values (ties
     allowed) and their masses, condensed without building the full ladder.
-    The masses' buffer is overwritten by their cumulative sum."""
-    new_run = log_v[1:] != log_v[:-1]
-    if not new_run.all():
-        # a run of equal values is summed first, then joins the running mass
-        starts = np.flatnonzero(np.append(True, new_run))
-        log_v, masses = log_v[starts], np.add.reduceat(masses, starts)
+    The masses' buffer is overwritten by their cumulative sum.  For values
+    known to strictly increase, `support(kept)` may give the kept ones in
+    place of log_v."""
+    if support is None:
+        new_run = log_v[1:] != log_v[:-1]
+        if not new_run.all():
+            # a run of equal values is summed first, then joins the running mass
+            starts = np.flatnonzero(np.append(True, new_run))
+            log_v, masses = log_v[starts], np.add.reduceat(masses, starts)
+        support = log_v.__getitem__
     w = np.cumsum(masses, out=masses)
     w /= w[-1]
     idx = _condensed_index(w, n_max)
-    return TruthLadder(log_v[idx], w[idx], provenance)
+    return TruthLadder(support(idx), w[idx], provenance)
 
 
 def condense(ladder: TruthLadder, n_max: int) -> TruthLadder:

@@ -241,6 +241,8 @@ class TestEv:
         assert low == high
 
     def test_random_walk_keeps_burnin_in_config_hash(self, tmp_path, capsys):
+        # a generic model is sampled by a Metropolis sampler, which reads
+        # the burn-in: here independence Metropolis-Hastings, whose gate passes
         spec = write_spec(tmp_path, {"family": "generic", "coordinates": ["u"],
                                      "log_kernel": "-(u - 1)^2 / 2",
                                      "hypothesis": {"equalities": ["u"]}})
@@ -413,7 +415,7 @@ class TestCompose:
         assert low[1] == pytest.approx(0.3145, abs=5e-5)
 
     def test_random_walk_keeps_burnin_in_config_hash(self, tmp_path, capsys):
-        # one generic slot beside an exact one: a random walk runs
+        # one generic slot beside an exact one: a Metropolis sampler runs
         generic = {"family": "generic", "coordinates": ["u"], "log_kernel": "-(u - 1)^2 / 2"}
         net = write_spec(tmp_path, {"serial": NET_SPEC["serial"] + [generic],
                                     "disjuncts": [[{"equalities": ["theta"]}, None]]},

@@ -546,3 +546,55 @@ class TestModelSpec:
         assert hyp.linear_equalities is None and len(hyp.equalities) == 1
         (lin,) = affine.linear_equalities
         assert np.array_equal(lin.coeffs, [1.0, -2.0]) and lin.offset == 1.0
+
+
+def _generic(kernel, coordinates=("a",), bounds=None):
+    spec = {"family": "generic", "coordinates": list(coordinates), "log_kernel": kernel}
+    if bounds is not None:
+        spec["bounds"] = bounds
+    return model_from_spec(spec)[0]
+
+
+class TestLaplaceFit:
+    def test_gaussian_fit_is_its_mean_and_covariance(self):
+        # -(a - 1.3)^2 - (b + 0.6)^2 - (a - 1.3)(b + 0.6) has precision
+        # [[2, 1], [1, 2]]: the factor's C C' is its inverse
+        model = _generic("-(a - 1.3)^2 - (b + 0.6)^2 - (a - 1.3)*(b + 0.6)", ("a", "b"))
+        center, factor = model.laplace
+        assert np.allclose(center, [1.3, -0.6], rtol=0.0, atol=1e-6)
+        assert np.allclose(factor @ factor.T, np.linalg.inv([[2.0, 1.0], [1.0, 2.0]]), rtol=0.0, atol=1e-6)
+        # the fit is the sampler's, never a start of the optimizer's
+        assert model.mode is None
+
+    def test_bounded_fit_without_warnings(self):
+        # Beta(8, 14) on [0, 1]: mode 7/20, log-kernel curvature 7/p^2 + 13/(1 - p)^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = _generic("7*log(p) + 13*log(1-p)", ("p",), [[0, 1]])
+        center, factor = model.laplace
+        p = 7 / 20
+        assert center[0] == pytest.approx(p, abs=1e-6)
+        assert factor[0, 0] ** 2 == pytest.approx(1.0 / (7 / p**2 + 13 / (1 - p) ** 2), rel=1e-5)
+
+    def test_start_outside_the_support_retries_from_the_crude_search(self):
+        # log(a) is -inf at the space's center a = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = _generic("log(a) - a^2")
+        assert model.laplace[0][0] == pytest.approx(math.sqrt(0.5), abs=1e-6)
+
+    def test_two_modes_fit_one_after_the_retry(self):
+        # the center a = 0 is a local minimum; the crude search climbs to a = 3
+        model = _generic("log(exp(-(a-3)^2/2) + exp(-(a+3)^2/2))")
+        assert model.laplace[0][0] == pytest.approx(3.0, abs=1e-6)
+
+    @pytest.mark.parametrize("kernel, bounds", [("0", [[0, 1]]), ("a", [[0, 1]]), ("a^2", None)])
+    def test_no_mode_no_fit(self, kernel, bounds):
+        # a flat kernel, a mode on the boundary, a minimum: no negative definite Hessian
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _generic(kernel, bounds=bounds).laplace is None
+
+    def test_builtin_families_have_no_fit(self, table2):
+        assert make_gaussian_mean_model(0.0, 1.0).laplace is None
+        assert make_polynomial_regression_model(table2, 2).laplace is None

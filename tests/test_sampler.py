@@ -29,8 +29,10 @@ from fbst import (
     sample_posterior,
 )
 from fbst.model import least_squares
+from fbst import sampler
 from fbst.sampler import (
     CHUNK,
+    KHAT_MAX,
     PREFETCH,
     PREFETCH2,
     DegenerateSeriesError,
@@ -38,6 +40,7 @@ from fbst.sampler import (
     SamplerStuckError,
     _ess_initial_positive,
     _initial_point,
+    _pareto_khat,
 )
 
 
@@ -242,24 +245,34 @@ class TestSamplePosterior:
                 ba = np.sum((bins[:-1] == b) & (bins[1:] == a))
                 assert abs(ab - ba) <= 3.0 * math.sqrt(ab + ba + 1)
 
-    def test_closed_bounds_raise_no_warning(self):
+    def test_closed_bounds_raise_no_warning(self, monkeypatch):
+        # the independence sampler (its gate passes) and the random walk
+        seen = _gate_khats(monkeypatch)
         model, _ = model_from_spec(BETA_SPEC)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            s = sample_posterior(model, SamplerConfig(seed=0, chains=2, draws=1_000, burnin=200))
-        assert np.all((s.draws > 0.0) & (s.draws < 1.0))
-        assert abs(s.draws.mean() - 8 / 22) < 0.05  # the mean of Beta(8, 14)
+        for m in (model, _walk(model)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                s = sample_posterior(m, SamplerConfig(seed=0, chains=2, draws=1_000, burnin=200))
+            assert np.all((s.draws > 0.0) & (s.draws < 1.0))
+            assert abs(s.draws.mean() - 8 / 22) < 0.05  # the mean of Beta(8, 14)
+        assert len(seen) == 1 and seen[0] <= KHAT_MAX
 
     @pytest.mark.parametrize("bounds", [[None, None], [-5, 5]])
-    def test_log_of_negative_raises_no_warning(self, bounds):
+    def test_log_of_negative_raises_no_warning(self, monkeypatch, bounds):
         # log(a) is NaN for a < 0: a rejected value, on unbounded and
-        # bounded spaces alike
-        model, _ = model_from_spec({"family": "generic", "coordinates": ["a"],
-                                    "log_kernel": "log(a) - a^2", "bounds": [bounds]})
+        # bounded spaces alike, for both Metropolis samplers; the Laplace
+        # fit starts at a = 0, where log(a) is -inf
+        seen = _gate_khats(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = sample_posterior(model, SamplerConfig(seed=0, chains=2, draws=1_000, burnin=200))
-        assert np.all(s.draws > 0.0)
+            model, _ = model_from_spec({"family": "generic", "coordinates": ["a"],
+                                        "log_kernel": "log(a) - a^2", "bounds": [bounds]})
+        for m in (model, _walk(model)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                s = sample_posterior(m, SamplerConfig(seed=0, chains=2, draws=1_000, burnin=200))
+            assert np.all(s.draws > 0.0)
+        assert len(seen) == 1 and seen[0] <= KHAT_MAX
 
     def test_constant_kernel_samples_the_box(self):
         # every row of a round inside the bounds (parked chains, the rows
@@ -284,8 +297,9 @@ class TestSamplePosterior:
 
 
 def _walk(model):
-    """The model without its exact draws, so that the random walk samples it."""
-    return dataclasses.replace(model, draw=None)
+    """The model without its exact draws or Laplace fit, so that the random
+    walk samples it."""
+    return dataclasses.replace(model, draw=None, laplace=None)
 
 
 def _regression(k):
@@ -295,7 +309,7 @@ def _regression(k):
 def _wide_bounded(_=None):
     """BOUNDED_SPEC's model with the random walk's proposal starting at
     scale 5: most proposals leave [0, 1]."""
-    model = model_from_spec(BOUNDED_SPEC)[0]
+    model = _walk(model_from_spec(BOUNDED_SPEC)[0])
     return dataclasses.replace(model, proposal_chol=np.eye(2) * (5.0 / (2.38 / math.sqrt(2))))
 
 
@@ -615,6 +629,117 @@ class TestIndependence:
         assert exact >= 5.0 * walk
 
 
+def _gaussian_spec(mean, var):
+    """A 2-D isotropic gaussian kernel with the given mean and variance."""
+    kernel = f"-((a - ({mean[0]!r}))^2 + (b - ({mean[1]!r}))^2) / (2 * {var!r})"
+    return {"family": "generic", "coordinates": ["a", "b"], "log_kernel": kernel}
+
+
+GAUSSIAN_SPEC = _gaussian_spec((1.3, -0.6), 0.09)
+# kernels whose pilot weights have a heavy tail: the random walk samples them
+BANANA_SPEC = {"family": "generic", "coordinates": ["a", "b"], "log_kernel": "-a^2/2 - (b - a^2)^2"}
+HEAVY_SPEC = {"family": "generic", "coordinates": ["a"], "log_kernel": "-0.6*log(1 + a^2)"}
+TWO_MODE_SPEC = {"family": "generic", "coordinates": ["a"],
+                 "log_kernel": "log(exp(-(a-3)^2/2) + exp(-(a+3)^2/2))"}
+
+
+def _gate_khats(monkeypatch):
+    """The list that each k-hat the independence sampler's gate reads is
+    appended to."""
+    seen = []
+    monkeypatch.setattr(sampler, "_pareto_khat", lambda log_w: seen.append(_pareto_khat(log_w)) or seen[-1])
+    return seen
+
+
+def _reference_khat(log_w):
+    """Pareto k-hat as PSIS's reference code computes it: the excesses of
+    the largest M log-weights over the next, Zhang & Stephens' estimate with
+    its grid's weights summed one pair at a time, and the weak prior."""
+    lw = np.sort(np.where(np.isfinite(log_w), log_w, -np.inf))
+    lw = lw - lw[-1]
+    tail_len = math.ceil(min(0.2 * lw.size, 3.0 * math.sqrt(lw.size)))
+    cutoff = max(lw[-tail_len - 1], math.log(np.finfo(float).tiny))
+    x = np.exp(lw[lw > cutoff]) - math.exp(cutoff)
+    n = x.size
+    m = 30 + int(math.sqrt(n))
+    b = [1.0 / x[-1] + (1.0 - math.sqrt(m / (j + 0.5))) / (3.0 * x[int(n / 4 + 0.5) - 1]) for j in range(m)]
+    ks = [float(np.mean(np.log1p(-bj * x))) for bj in b]
+    L = [n * (math.log(-bj / kj) - kj - 1.0) for bj, kj in zip(b, ks)]
+    w = [1.0 / sum(math.exp(Li - Lj) for Li in L) for Lj in L]
+    k = float(np.mean(np.log1p(-(sum(wj * bj for wj, bj in zip(w, b)) / sum(w)) * x)))
+    return (n * k + 5.0) / (n + 10.0)
+
+
+class TestParetoKhat:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_as_the_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        log_w = rng.standard_t(3 + seed, 4096)
+        log_w[rng.random(4096) < 0.1] = -np.inf  # proposals outside the bounds
+        assert _pareto_khat(log_w) == pytest.approx(_reference_khat(log_w), rel=1e-9)
+
+    @pytest.mark.parametrize("k", [0.3, 0.6, 0.9])
+    def test_recovers_a_generalized_pareto_shape(self, k):
+        # inverse-CDF draws of a GPD(k), whose every tail is a GPD(k); M =
+        # 192 of 4096 puts k-hat's standard error near 0.1
+        u = np.random.default_rng(0).random(4096)
+        assert abs(_pareto_khat(np.log(((1.0 - u) ** -k - 1.0) / k)) - k) < 0.2
+
+    def test_equal_weights_and_no_weight(self):
+        assert _pareto_khat(np.zeros(4096)) == math.inf  # no excesses
+        assert _pareto_khat(np.full(4096, -np.inf)) == math.inf
+
+
+class TestLaplaceProposal:
+    CFG = SamplerConfig(seed=0, chains=4, draws=1_000, burnin=500)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gaussian_oracle(self, seed):
+        # a flat reference: ev of the point p is the chi-square(2) tail at
+        # |m - p|^2 / v, exp(-|m - p|^2 / (2 v))
+        mean, var, point = np.array([1.3, -0.6]), 0.09, np.array([1.6, -0.3])
+        model = model_from_spec(_gaussian_spec(mean.tolist(), var))[0]
+        s = sample_posterior(model, SamplerConfig(seed=seed, chains=4, draws=5_000, burnin=500))
+        assert np.all(s.acceptance_rates > 0.8)  # the walk's are near 0.2
+        report = evalue(model, point_hypothesis(point), s)
+        want = math.exp(-float((mean - point) @ (mean - point)) / (2.0 * var))
+        assert abs(report.ev - want) <= 4.0 * math.sqrt(want * (1.0 - want) / report.ess)
+        # the random walk reads about 1 600 at this config
+        assert report.ess > 5_000
+
+    @pytest.mark.parametrize("spec", [TWO_MODE_SPEC, HEAVY_SPEC, BANANA_SPEC], ids=["two-mode", "heavy", "banana"])
+    def test_refused_gate_runs_the_random_walk(self, spec):
+        model = model_from_spec(spec)[0]
+        assert model.laplace is not None
+        _assert_same_sample(sample_posterior(model, self.CFG), _reference_sample(model, self.CFG))
+
+    @pytest.mark.parametrize("spec, khat", [
+        (GAUSSIAN_SPEC, -1.7121), (BETA_SPEC, -1.9058), (BOUNDED_SPEC, -0.8671),
+        (BANANA_SPEC, 0.7770), (HEAVY_SPEC, 0.9853), (TWO_MODE_SPEC, 4.5760),
+    ], ids=["gaussian", "beta", "bounded", "banana", "heavy", "two-mode"])
+    def test_gate_khat(self, monkeypatch, spec, khat):
+        seen = _gate_khats(monkeypatch)
+        s = sample_posterior(model_from_spec(spec)[0], self.CFG)
+        assert seen == [pytest.approx(khat, abs=1e-4)]
+        if khat <= KHAT_MAX:
+            assert np.all(s.acceptance_rates > 0.75)
+
+    def test_chain_draws_do_not_depend_on_chain_count(self):
+        model = model_from_spec(GAUSSIAN_SPEC)[0]
+        two = sample_posterior(model, SamplerConfig(seed=6, chains=2, draws=1_000, burnin=300))
+        five = sample_posterior(model, SamplerConfig(seed=6, chains=5, draws=1_000, burnin=300))
+        assert np.array_equal(five.draws[: two.size], two.draws)
+        assert np.array_equal(five.log_surprise[: two.size], two.log_surprise)
+
+    @pytest.mark.parametrize("chunk", [100, 333])
+    def test_chunk_changes_no_draw(self, monkeypatch, chunk):
+        model = model_from_spec(GAUSSIAN_SPEC)[0]
+        cfg = SamplerConfig(seed=3, chains=3, draws=1_000, burnin=777, thin=2)
+        want = sample_posterior(model, cfg)
+        monkeypatch.setattr(sampler, "CHUNK", chunk)
+        _assert_same_sample(sample_posterior(model, cfg), want)
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -627,16 +752,19 @@ def _peak_bytes(fn, *args):
 class TestRandomnessMemory:
     BOUND = 400_000  # bytes
 
-    @pytest.mark.parametrize("sampler_name", ["metropolis", "exact"])
+    @pytest.mark.parametrize("sampler_name", ["metropolis", "exact", "independence"])
     def test_peak_bounded_by_chunk_not_steps(self, sampler_name):
         # 20_000 steps per chain, 1000 retained: the reference holds every
-        # step's randomness at once, the random walk CHUNK steps of it, and
-        # exact draws none past the retained ones.  Measured peaks (numpy
-        # 2.4, CHUNK = 1024, PREFETCH = 6, PREFETCH2 = 4): reference 962 kB,
-        # random walk 304 kB, exact draws 75 kB.
+        # step's randomness at once, the two Metropolis samplers CHUNK
+        # steps of it, and exact draws none past the retained ones.
+        # Measured peaks (numpy 2.4, CHUNK = 1024, PREFETCH = 6, PREFETCH2 =
+        # 4): reference 962 kB, random walk 304 kB, exact draws 75 kB,
+        # independence (2-D) 323 kB.
         model = make_gaussian_mean_model(0.0, 1.0)
         if sampler_name == "metropolis":
             model = _walk(model)
+        elif sampler_name == "independence":
+            model = model_from_spec(GAUSSIAN_SPEC)[0]
         cfg = SamplerConfig(seed=0, chains=2, draws=1_000, burnin=0, thin=20)
         # a process's first sample imports modules lazily (about 700 kB of
         # module objects), which is not sampler memory; run alone, this test
