@@ -266,11 +266,13 @@ def network_models(spec: dict) -> tuple:
     """
     if not isinstance(spec, dict) or "serial" not in spec or "disjuncts" not in spec:
         raise SpecError("network spec needs 'serial' and 'disjuncts' fields")
-    models = [model_from_spec(ms)[0] for ms in spec["serial"]]
-    rows = spec["disjuncts"]
-    if not rows or any(len(r) != len(models) for r in rows):
+    serial, rows = spec["serial"], spec["disjuncts"]
+    if not isinstance(serial, list):
+        raise SpecError("'serial' must be a list of model specs")
+    if (not isinstance(rows, list) or not rows
+            or not all(isinstance(r, list) and len(r) == len(serial) for r in rows)):
         raise SpecError("each disjunct row must list one hypothesis per serial slot")
-    return models, rows
+    return [model_from_spec(ms)[0] for ms in serial], rows
 
 
 def analyze_models(models, rows, sampler_cfg=None, n_max: int = 512):

@@ -41,6 +41,8 @@ def compile_expression(text: str, names: Sequence[str]) -> Callable:
 
     `theta` has shape (d,) or (..., d); f returns shape theta.shape[:-1].
     """
+    if not isinstance(text, str):
+        raise ExpressionError(f"expression must be a string, not {text!r}")
     index = {name: i for i, name in enumerate(names)}
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")

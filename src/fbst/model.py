@@ -16,6 +16,13 @@ import numpy as np
 from .expressions import compile_expression, linear_coefficients
 
 DEFAULT_EQ_TOL = 1e-9
+# The independence sampler's t degrees of freedom; the fixed pilot of t
+# proposals on which a generic model's Laplace fit is gated; and the largest
+# Pareto k-hat of the pilot's weights at which the fit is kept (Vehtari et
+# al. 2024: above 0.7, the weights' tails are too heavy)
+NU = 4
+PILOT = 4096
+KHAT_MAX = 0.7
 
 
 class DomainError(ValueError):
@@ -102,10 +109,11 @@ class StatisticalModel:
     it (a generic model) `mode` is only a start.  `draw(rng, size)`
     returns `size` iid points of the posterior as a (size, d) array, read
     from the numpy Generator `rng`; a model that sets it is sampled by
-    these exact draws.  `laplace = (center, factor)`, which `model_from_spec`
-    sets on a generic model whose `_laplace_fit` passes, is a mode and a C
-    with C C' = (-Hessian of the log-kernel)^-1 there: its model is sampled
-    by independence Metropolis-Hastings unless the sampler's gate refuses.
+    these exact draws.  `laplace = (center, factor)` is a mode and a C with
+    C C' = (-Hessian of the log-kernel)^-1 there; `model_from_spec` sets it
+    on a generic model whose `_laplace_fit` passes the Pareto k-hat gate on
+    a fixed pilot (`_gated_fit`), so the build alone picks the sampler: a
+    model with `laplace` set is sampled by independence Metropolis-Hastings.
     Any other model, `dataclasses.replace(model, draw=None, laplace=None)`
     included, is sampled by the random walk.
 
@@ -226,6 +234,55 @@ def _laplace_fit(model: StatisticalModel):
                     return x, np.linalg.inv(chol).T
                 best, x = f[0], x + step
     return None
+
+
+def t_proposal(center, factor, z, g):
+    """(x, log q): t proposals x = m + (z C') sqrt(NU / g) at a Laplace fit
+    (center m, factor C) from normals z (..., d) and g ~ chi2(NU) (...), and
+    log q = -(NU + d)/2 log1p(|z|^2 / g), their log density up to a constant."""
+    x = center + (z @ factor.T) * np.sqrt(NU / g)[..., None]
+    return x, -0.5 * (NU + z.shape[-1]) * np.log1p(np.einsum("...i,...i->...", z, z) / g)
+
+
+def _pareto_khat(log_w: np.ndarray) -> float:
+    """Pareto k-hat of the weights exp(log_w), a non-finite value read as
+    weight 0: the shape of a generalized Pareto fit to the excesses of the
+    largest M = ceil(min(0.2 S, 3 sqrt(S))) of the S weights over the next,
+    by Zhang & Stephens' (2009) profile likelihood with the weak prior of
+    PSIS (Vehtari et al. 2024); +inf when fewer than 5 excesses are left."""
+    x = np.sort(np.where(np.isfinite(log_w), log_w, -np.inf))
+    if not x[-1] > -np.inf:
+        return math.inf
+    x -= x[-1]
+    tail_len = math.ceil(min(0.2 * x.size, 3.0 * math.sqrt(x.size)))
+    cutoff = max(x[-tail_len - 1], math.log(np.finfo(float).tiny))
+    tail = np.exp(x[x > cutoff]) - math.exp(cutoff)
+    n = tail.size
+    if n < 5:
+        return math.inf
+    m = 30 + math.isqrt(n)
+    grid = 1.0 - np.sqrt(m / (np.arange(1, m + 1) - 0.5))
+    theta = 1.0 / tail[-1] + grid / (3.0 * tail[(n + 2) // 4 - 1])  # scaled by the first quartile
+    k = np.log1p(-theta[:, None] * tail).mean(axis=1)
+    profile = n * (np.log(-theta / k) - k - 1.0)
+    weight = np.exp(profile - profile.max())
+    k_hat = np.log1p(-(weight @ theta / weight.sum()) * tail).mean()
+    return (n * k_hat + 5.0) / (n + 10.0)
+
+
+def _gated_fit(model: StatisticalModel):
+    """`_laplace_fit`'s (center, factor) if the Pareto k-hat of the weights
+    kernel / q of PILOT t proposals from it, read from `default_rng(0)`, is
+    at most KHAT_MAX; else None.  Warns of nothing."""
+    fit = _laplace_fit(model)
+    if fit is None:
+        return None
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((PILOT, model.space.dimension))
+    with np.errstate(all="ignore"):
+        x, log_q = t_proposal(*fit, z, rng.chisquare(NU, PILOT))
+        khat = _pareto_khat(model.log_kernel_safe(x) - log_q)
+    return fit if khat <= KHAT_MAX else None
 
 
 def log_surprise(model: StatisticalModel, theta) -> np.ndarray:
@@ -593,29 +650,27 @@ def exact_mode(model: StatisticalModel, A=None, b=0.0) -> Optional[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def _texts(value, field: str) -> tuple:
+    """A spec's list of strings; raises SpecError for any other value."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise SpecError(f"{field!r} must be a list of strings")
+    return tuple(value)
+
+
 def hypothesis_from_spec(spec: dict, names: Sequence[str]) -> Hypothesis:
     """Build a Hypothesis from {"equalities": [...], "inequalities": [...]}."""
     if not isinstance(spec, dict):
         raise SpecError("hypothesis spec must be an object")
-    eq_texts = spec.get("equalities", [])
-    ineq_texts = spec.get("inequalities", [])
-    eqs, lins, ineqs = [], [], []
-    all_linear = True
-    for text in eq_texts:
-        fn = compile_expression(text, names)
-        eqs.append(fn)
-        lin = linear_coefficients(fn, len(names))
-        if lin is None:
-            all_linear = False
-        else:
-            lins.append(LinearEquality(lin[0], lin[1]))
-    for text in ineq_texts:
-        ineqs.append(compile_expression(text, names))
+    eq_texts = _texts(spec.get("equalities", []), "equalities")
+    ineq_texts = _texts(spec.get("inequalities", []), "inequalities")
+    eqs = [compile_expression(text, names) for text in eq_texts]
+    lins = [linear_coefficients(fn, len(names)) for fn in eqs]
     return Hypothesis(
-        inequalities=tuple(ineqs),
+        inequalities=tuple(compile_expression(text, names) for text in ineq_texts),
         equalities=tuple(eqs),
-        linear_equalities=tuple(lins) if (all_linear and eqs) else None,
-        label=" & ".join(list(map(str, eq_texts)) + list(map(str, ineq_texts))),
+        linear_equalities=(tuple(LinearEquality(*lin) for lin in lins)
+                           if eqs and all(lin is not None for lin in lins) else None),
+        label=" & ".join(eq_texts + ineq_texts),
     )
 
 
@@ -641,27 +696,24 @@ def model_from_spec(spec: dict, data: Optional[Dataset] = None):
             raise SpecError(f"polynomial-regression spec missing field {exc}") from exc
     elif family == "generic":
         try:
-            names = tuple(spec["coordinates"])
+            names = _texts(spec["coordinates"], "coordinates")
             kernel_text = spec["log_kernel"]
         except KeyError as exc:
             raise SpecError(f"generic spec missing field {exc}") from exc
         bounds = spec.get("bounds")
-        if bounds is None:
-            space = unbounded_space(names)
-        else:
-            arr = [
-                [-math.inf if b[0] is None else float(b[0]),
-                 math.inf if b[1] is None else float(b[1])]
-                for b in bounds
-            ]
-            lows = np.array([b[0] for b in arr])
-            highs = np.array([b[1] for b in arr])
-            space = ParameterSpace(names, lows, highs)
+        bounds = [[None, None]] * len(names) if bounds is None else bounds
+        if not (isinstance(bounds, list) and len(bounds) == len(names) and all(
+                isinstance(b, list) and len(b) == 2 and all(v is None or type(v) in (int, float) for v in b)
+                for b in bounds)):
+            raise SpecError(f"'bounds' must be {len(names)} [low, high] pairs of numbers or nulls")
+        lows, highs = np.array([[-math.inf if lo is None else lo, math.inf if hi is None else hi]
+                                for lo, hi in bounds], dtype=float).T
+        space = ParameterSpace(names, lows, highs)
         kernel = compile_expression(kernel_text, names)
         ref_text = spec.get("log_reference")
         reference = compile_expression(ref_text, names) if ref_text else None
         model = StatisticalModel(space=space, log_kernel=kernel, log_reference=reference)
-        model = replace(model, laplace=_laplace_fit(model))
+        model = replace(model, laplace=_gated_fit(model))
     else:
         raise SpecError(f"unknown model family {family!r}")
     hyp = None

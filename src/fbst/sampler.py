@@ -2,12 +2,19 @@
 
 The model picks the sampler: exact iid draws on a model that sets `draw`
 (the built-in families), independence Metropolis-Hastings on one that sets
-`laplace` (a generic spec model whose Laplace fit passed) when its gate
-passes, random-walk Metropolis on any other.  Each chain draws its
-randomness from its own child of `SeedSequence(seed).spawn(chains)`, so
-serial and (hypothetical) parallel execution produce bit-identical output
-for a fixed model and configuration, and chain c's draws do not depend on
-how many chains run.
+`laplace` (a generic spec model whose Laplace fit passed its gate at build),
+random-walk Metropolis on any other.  Each chain draws its randomness from
+its own child of `SeedSequence(seed).spawn(chains)`, so serial and
+(hypothetical) parallel execution produce bit-identical output for a fixed
+model and configuration, and chain c's draws do not depend on how many
+chains run.
+
+The two Metropolis samplers lay out their randomness alike: chain c's child
+seed spawns one generator per variable, read CHUNK steps at a time, so the
+buffers take O(CHUNK x chains x d) memory whatever the step count, and a
+run with more draws, and the same burn-in, seed and chains, begins with the
+shorter run's draws.  Exact draws have no such prefix: the regression's
+`draw` reads all its chi-squares, then its normals.
 
 Exact draws.  Chain c takes `draws` points from one call of the model's
 `draw` on `default_rng(SeedSequence(seed).spawn(chains)[c])`; there is no
@@ -17,28 +24,14 @@ One kernel call on all chains' points gives their log-kernels.  A model
 whose `draw` returns column-major arrays (the polynomial regression's) gets
 a column-major `SurpriseSample.draws`, of the same (M, d) shape.
 
-Independence Metropolis-Hastings.  The proposal is a multivariate t with
-NU degrees of freedom at the fit (center m, factor C): x = m + (z C')
-sqrt(NU / g), z ~ N(0, I_d), g ~ chi2(NU), whose log density is
--(NU + d)/2 log1p(|z|^2 / g) up to a constant.  Chain c's child seed
-spawns three generators, for the normals, the chi-squares and the
-log-uniforms, each read CHUNK steps at a time.  A chain starts at m; a
-step accepts iff log u < w - w_current, w = log kernel - log q, and draws
-are kept as the random walk keeps them.  The gate: when the Pareto k-hat
-of the weights exp(w) of every chain's first chunk is above KHAT_MAX, the
-random walk runs instead, bit for bit as on the model without its fit.
-So chain c's draws do not depend on the chain count once the gate has
-chosen, but near KHAT_MAX the choice can.
+Independence Metropolis-Hastings.  The proposal q is `t_proposal`'s t at
+the fit (center m).  Its generators hold the normals, the chi-squares and
+the log-uniforms.  A chain starts at m; a step accepts iff
+log u < w - w_current, w = log kernel - log q, and draws are kept as the
+random walk keeps them.
 
-Random-walk Metropolis.  Chain c's stream, from
-`default_rng(SeedSequence(seed).spawn(chains)[c])`, is laid out as
-`steps x d` proposal normals, then `steps` acceptance uniforms.  The
-sampler reads each segment through its own generator, positioned at the
-segment's start by generating and discarding the normals before it
-(ziggurat normals consume a variable amount of the bit stream, so the
-generator cannot simply be advanced).  Randomness is generated `CHUNK`
-steps at a time, so the buffers take O(CHUNK x chains x d) memory whatever
-the step count.
+Random-walk Metropolis.  Its generators hold the proposal normals and the
+acceptance uniforms.
 
 Each chunk's moves, scaled by each chain's current proposal scale, sit in
 one per-chain moves buffer, and each chain's log-uniforms are converted to
@@ -70,7 +63,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .model import StatisticalModel, _crude_mode_search
+from .model import NU, StatisticalModel, _crude_mode_search, t_proposal
 
 # Steps of randomness generated at a time; bounds the sampler's random
 # buffers and changes no draw.
@@ -81,10 +74,6 @@ CHUNK = 1024
 # constrained-ev's generic models (see the README's Sampling section).
 PREFETCH = 6
 PREFETCH2 = 4
-# The independence sampler's t degrees of freedom, and the largest Pareto
-# k-hat at which it runs (Vehtari et al. 2024: above 0.7, weights' tails are too heavy)
-NU = 4
-KHAT_MAX = 0.7
 
 
 class SamplerStuckError(RuntimeError):
@@ -188,23 +177,6 @@ def _initial_point(model: StatisticalModel) -> np.ndarray:
     return _crude_mode_search(model, model.space.center())
 
 
-def _discard(draw, count: int, width: int) -> None:
-    """Advance a generator past `count` rows of `draw` (a bound method such
-    as `rng.standard_normal`), CHUNK rows at a time."""
-    buf = np.empty((min(CHUNK, count), width))
-    for first in range(0, count, CHUNK):
-        draw(out=buf[: min(CHUNK, count - first)])
-
-
-def _chain_streams(seq, steps: int, d: int) -> tuple:
-    """Generators at the starts of one chain's normals and uniforms; see
-    the module docstring."""
-    normals = np.random.default_rng(seq)
-    uniforms = np.random.default_rng(seq)
-    _discard(uniforms.standard_normal, steps, d)
-    return normals, uniforms
-
-
 def _window_end(t: int, burnin: int, block: int, limit: int) -> int:
     """The step before which a chain at step t must stop: during burn-in its
     next adaptation point, and never past `limit`."""
@@ -290,36 +262,10 @@ def _kept(first: int, n: int, cfg: SamplerConfig):
     return lo, kept, slice(before, before + kept.size)
 
 
-def _pareto_khat(log_w: np.ndarray) -> float:
-    """Pareto k-hat of the weights exp(log_w), a non-finite value read as
-    weight 0: the shape of a generalized Pareto fit to the excesses of the
-    largest M = ceil(min(0.2 S, 3 sqrt(S))) of the S weights over the next,
-    by Zhang & Stephens' (2009) profile likelihood with the weak prior of
-    PSIS (Vehtari et al. 2024); +inf when fewer than 5 excesses are left."""
-    x = np.sort(np.where(np.isfinite(log_w), log_w, -np.inf))
-    if not x[-1] > -np.inf:
-        return math.inf
-    x -= x[-1]
-    tail_len = math.ceil(min(0.2 * x.size, 3.0 * math.sqrt(x.size)))
-    cutoff = max(x[-tail_len - 1], math.log(np.finfo(float).tiny))
-    tail = np.exp(x[x > cutoff]) - math.exp(cutoff)
-    n = tail.size
-    if n < 5:
-        return math.inf
-    m = 30 + math.isqrt(n)
-    grid = 1.0 - np.sqrt(m / (np.arange(1, m + 1) - 0.5))
-    theta = 1.0 / tail[-1] + grid / (3.0 * tail[(n + 2) // 4 - 1])  # scaled by the first quartile
-    k = np.log1p(-theta[:, None] * tail).mean(axis=1)
-    profile = n * (np.log(-theta / k) - k - 1.0)
-    weight = np.exp(profile - profile.max())
-    k_hat = np.log1p(-(weight @ theta / weight.sum()) * tail).mean()
-    return (n * k_hat + 5.0) / (n + 10.0)
-
-
 def _independence(model, kernel, cfg):
     """(draws, log-kernels, acceptance rates) of independence
-    Metropolis-Hastings from the t proposal at the model's Laplace fit, or
-    of `_metropolis` when the gate refuses; see the module docstring."""
+    Metropolis-Hastings from the t proposal at the model's Laplace fit; see
+    the module docstring."""
     center, factor = model.laplace
     chains, d = cfg.chains, center.size
     steps = cfg.burnin + cfg.draws * cfg.thin
@@ -333,17 +279,14 @@ def _independence(model, kernel, cfg):
     accepted_after = np.zeros(chains)
     for first in range(0, steps, CHUNK):
         n = min(CHUNK, steps - first)
-        z, g = np.empty((chains, n, d)), np.empty((chains, n, 1))
+        z, g = np.empty((chains, n, d)), np.empty((chains, n))
         for c, (normals, chi2, _) in enumerate(streams):
             normals.standard_normal(out=z[c])
-            g[c, :, 0] = chi2.chisquare(NU, n)
-        prop = center + (z @ factor.T) * np.sqrt(NU / g)
+            g[c] = chi2.chisquare(NU, n)
+        prop, log_q = t_proposal(center, factor, z, g)
         with np.errstate(divide="ignore", invalid="ignore"):
             lk = np.asarray(kernel(prop.reshape(-1, d)), dtype=float).reshape(chains, n)
-            # w = log kernel - log q, log q = -(NU + d) / 2 log1p(|z|^2 / g)
-            w = lk + 0.5 * (NU + d) * np.log1p(np.einsum("...i,...i->...", z, z) / g[..., 0])
-            if first == 0 and not _pareto_khat(w.ravel()) <= KHAT_MAX:
-                return _metropolis(model, kernel, cfg)
+        w = lk - log_q
         lo, kept, span = _kept(first, n, cfg)
         for c in range(chains):
             u, now, at = np.log(streams[c][2].random(n)).tolist(), cur_w[c], []
@@ -379,7 +322,7 @@ def _metropolis(model, kernel, cfg):
     steps = cfg.burnin + cfg.draws * cfg.thin
 
     chains = cfg.chains
-    streams = [_chain_streams(seq, steps, d)
+    streams = [[np.random.default_rng(s) for s in seq.spawn(2)]
                for seq in np.random.SeedSequence(cfg.seed).spawn(chains)]
     width = min(CHUNK, steps)
     zs = np.empty((width, chains, d))
@@ -514,7 +457,7 @@ def _metropolis(model, kernel, cfg):
             retained[c, span] = states[last]
             retained_lk[c, span] = state_lks[last]
 
-    return retained, retained_lk, accepted_after / max(cfg.draws * cfg.thin, 1)
+    return retained, retained_lk, accepted_after / (cfg.draws * cfg.thin)
 
 
 def _ess_initial_positive(series: np.ndarray) -> float:

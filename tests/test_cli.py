@@ -118,9 +118,8 @@ class TestEv:
         code, payload = run(capsys, ["ev", spec, "--data", str(csv), "--seed", "0",
                                      "--threshold", "0.05"] + FAST)
         assert code == 0
-        # ev counts the draws with log s <= log s*; the 512-point ladder
-        # that ev was read from before floored it to 0.009875
-        assert payload["ev"] == 0.010425
+        # ev counts the draws with log s <= log s*
+        assert payload["ev"] == 0.008025
         assert payload["ev_complement"] == 1.0
         assert payload["decision"] == "reject"
         return calls
@@ -217,6 +216,25 @@ class TestEv:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "SSR = 0" in captured.err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("bounds", [0, 1], "'bounds' must be 1 [low, high] pairs"),
+        ("bounds", [[0]], "'bounds' must be 1 [low, high] pairs"),
+        ("bounds", 3, "'bounds' must be 1 [low, high] pairs"),
+        ("bounds", [[0, 1, 2]], "'bounds' must be 1 [low, high] pairs"),
+        ("bounds", [[[0], 1]], "'bounds' must be 1 [low, high] pairs"),
+        ("coordinates", "u", "'coordinates' must be a list of strings"),
+        ("log_kernel", 3, "expression must be a string"),
+        ("hypothesis", {"equalities": "u - 1"}, "'equalities' must be a list of strings"),
+        ("hypothesis", {"inequalities": [1]}, "'inequalities' must be a list of strings"),
+    ])
+    def test_malformed_generic_spec_exits_2(self, tmp_path, capsys, field, value, message):
+        spec = write_spec(tmp_path, {"family": "generic", "coordinates": ["u"], "log_kernel": "-u^2 / 2",
+                                     "hypothesis": {"equalities": ["u"]}, field: value})
+        assert main(["ev", spec, "--seed", "0"] + FAST) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert message in captured.err
 
     def test_bool_constant_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"family": "generic", "coordinates": ["u"],
@@ -399,8 +417,15 @@ class TestCompose:
         assert payload["log_s_star"][0][1] is None
 
     def test_malformed_network_exits_2(self, tmp_path, capsys):
-        net = write_spec(tmp_path, {"serial": []}, name="bad.json")
-        assert main(["compose", net, "--seed", "0"]) == 2
+        serial = NET_SPEC["serial"]
+        for spec in ({"serial": []}, {"serial": 5, "disjuncts": [[]]},
+                     {"serial": serial, "disjuncts": [1]}, {"serial": serial, "disjuncts": []},
+                     {"serial": serial, "disjuncts": [[None, None]]}):
+            net = write_spec(tmp_path, spec, name="bad.json")
+            assert main(["compose", net, "--seed", "0"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+            assert "Traceback" not in captured.err
 
     def _hash_and_ev(self, capsys, net, burnin):
         code, payload = run(capsys, ["compose", net, "--seed", "0", "--draws", "2000",

@@ -26,7 +26,7 @@ from fbst import (
     point_hypothesis,
 )
 from fbst.expressions import ExpressionError, compile_expression
-from fbst.model import least_squares
+from fbst.model import _laplace_fit, least_squares
 from fbst.optimizer import closed_form_constrained_mode
 
 
@@ -584,9 +584,11 @@ class TestLaplaceFit:
         assert model.laplace[0][0] == pytest.approx(math.sqrt(0.5), abs=1e-6)
 
     def test_two_modes_fit_one_after_the_retry(self):
-        # the center a = 0 is a local minimum; the crude search climbs to a = 3
+        # the center a = 0 is a local minimum; the crude search climbs to a
+        # = 3.  The build's gate refuses this fit, so the fit is read alone
         model = _generic("log(exp(-(a-3)^2/2) + exp(-(a+3)^2/2))")
-        assert model.laplace[0][0] == pytest.approx(3.0, abs=1e-6)
+        assert model.laplace is None
+        assert _laplace_fit(model)[0][0] == pytest.approx(3.0, abs=1e-6)
 
     @pytest.mark.parametrize("kernel, bounds", [("0", [[0, 1]]), ("a", [[0, 1]]), ("a^2", None)])
     def test_no_mode_no_fit(self, kernel, bounds):
