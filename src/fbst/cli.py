@@ -27,7 +27,7 @@ from .model import (
     complement,
     model_from_spec,
 )
-from .modelsel import benchmark_dataset, fitted_curves, select_order
+from .modelsel import benchmark_dataset, fitted_curves, order_fits, select_order
 from .optimizer import UnboundedSurpriseError, maximize_surprise
 from .sampler import (
     InitializationError,
@@ -98,6 +98,7 @@ def cmd_ev(args) -> tuple:
     model, hyp = model_from_spec(spec, data)
     if hyp is None:
         raise SpecError("model spec carries no hypothesis")
+    hyp.affine_system()  # an inconsistent A theta = b raises before sampling
     cfg = _sampler_config(args)
     if model.draw is not None:
         del args.burnin  # exact draws read no burn-in: keep it out of config_hash
@@ -125,6 +126,7 @@ def cmd_select(args) -> tuple:
         args.seed = args.seed if args.seed is not None else 0
         cfg = None
     del args.burnin  # regression models take exact draws: keep it out of config_hash
+    fits = order_fits(data, args.kmax)  # read by the table and by the plot
     report = select_order(
         data,
         args.kmax,
@@ -132,6 +134,7 @@ def cmd_select(args) -> tuple:
         threshold=args.threshold,
         sampler_cfg=cfg,
         n_max=args.nmax,
+        fits=fits,
     )
     if args.csv:
         rows = report["rows"]
@@ -141,7 +144,7 @@ def cmd_select(args) -> tuple:
             for row in rows:
                 fh.write(",".join("" if row[k] is None else str(row[k]) for k in header) + "\n")
     if args.emit_plot:
-        curves = fitted_curves(data, args.kmax)
+        curves = fitted_curves(data, fits)
         names = list(curves)
         body = np.column_stack([curves[n] for n in names])
         np.savetxt(args.emit_plot, body, delimiter=",", header=",".join(names), comments="")

@@ -260,7 +260,9 @@ def disjunctive_evalue(c: CompositeStructure, n_max: int = 512) -> float:
 
 def network_models(spec: dict) -> tuple:
     """(models, disjunct rows) of a network spec, each serial slot's model
-    built once; raises SpecError when the spec is malformed.
+    built once and each row's hypotheses compiled against its slot's
+    coordinates (None for an unconstrained slot); raises SpecError when the
+    spec is malformed.
 
     Spec shape: {"serial": [model specs], "disjuncts": [[hyp or null, ...]]}.
     """
@@ -272,12 +274,19 @@ def network_models(spec: dict) -> tuple:
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) and len(r) == len(serial) for r in rows)):
         raise SpecError("each disjunct row must list one hypothesis per serial slot")
-    return [model_from_spec(ms)[0] for ms in serial], rows
+    models = [model_from_spec(ms)[0] for ms in serial]
+    return models, [[None if h is None else hypothesis_from_spec(h, m.space.names)
+                     for h, m in zip(row, models)] for row in rows]
 
 
 def analyze_models(models, rows, sampler_cfg=None, n_max: int = 512):
     """(structure, disjunctive e-value) of the network that `network_models`
-    returned as (models, rows)."""
+    returned as (models, rows of compiled hypotheses).  An inconsistent
+    affine system raises InfeasibleHypothesisError before any sampling."""
+    for row in rows:
+        for H in row:
+            if H is not None:
+                H.affine_system()
     k = len(models)
     cfg = sampler_cfg or SamplerConfig()
     ladders, samples = [], []
@@ -287,12 +296,9 @@ def analyze_models(models, rows, sampler_cfg=None, n_max: int = 512):
         ladders.append(estimate_truth_ladder(s, n_max))
     grid = np.full((len(rows), k), np.nan)
     for i, row in enumerate(rows):
-        for j, hyp_spec in enumerate(row):
-            if hyp_spec is None:
-                continue
-            H = hypothesis_from_spec(hyp_spec, models[j].space.names)
-            opt = maximize_surprise(models[j], H, samples[j])
-            grid[i, j] = opt.log_s_star
+        for j, H in enumerate(row):
+            if H is not None:
+                grid[i, j] = maximize_surprise(models[j], H, samples[j]).log_s_star
     structure = CompositeStructure(tuple(ladders), grid)
     return structure, disjunctive_evalue(structure, n_max)
 

@@ -8,7 +8,9 @@ reference density is flat (log r == 0).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 from .expressions import compile_expression, linear_coefficients
 
 DEFAULT_EQ_TOL = 1e-9
+AFFINE_TOL = 1e-9  # relative least-squares residual of a consistent A theta = b
 # The independence sampler's t degrees of freedom; the fixed pilot of t
 # proposals on which a generic model's Laplace fit is gated; and the largest
 # Pareto k-hat of the pilot's weights at which the fit is kept (Vehtari et
@@ -313,6 +316,11 @@ class Hypothesis:
 
     `negated_of` marks the hypothesis as the set-complement of another one,
     in which case the constraint lists are ignored for membership.
+
+    What depends on the hypothesis alone (its affine reduction, pinned
+    point, reduced system, complement and a complement's closure pieces) is
+    computed on first use and kept on the instance.  It is no field, so
+    equality and hashing ignore it.
     """
 
     inequalities: tuple = ()
@@ -373,20 +381,69 @@ class Hypothesis:
         """Plain hypotheses whose union is the closure: the set itself; for a
         complement, Theta if the negated set has an equality, else {g_i >= 0},
         where a NaN g_i counts as inside, as it does for `contains`."""
+        return (self,) if self.negated_of is None else self._pieces
+
+    @cached_property
+    def _complement(self) -> "Hypothesis":
+        return Hypothesis(negated_of=self, label=f"not({self.label})" if self.label else "complement")
+
+    @cached_property
+    def _pieces(self) -> tuple:
+        # a complement's closure pieces
         inner = self.negated_of
-        if inner is None:
-            return (self,)
         if inner.equalities:
             return (Hypothesis(),)
         return tuple(Hypothesis(inequalities=(lambda th, g=g: -np.fmin(g(th), np.inf),))
                      for g in inner.inequalities)
 
+    def affine_system(self) -> Optional[tuple]:
+        """(A, b, rows) for the equalities when every one is affine, with the
+        redundant rows dropped (`rows` indexes the kept ones), else None; a
+        complement has none.  Raises InfeasibleHypothesisError, on every
+        call, when A theta = b is inconsistent."""
+        if self._affine is False:
+            raise InfeasibleHypothesisError("the affine equalities are inconsistent")
+        return self._affine
+
+    @cached_property
+    def _affine(self):
+        # `affine_system`'s value, or False for an inconsistent system
+        lins = self.linear_equalities
+        if self.negated_of is not None or not lins or len(lins) != len(self.equalities):
+            return None
+        A = np.array([le.coeffs for le in lins])
+        b = -np.array([le.offset for le in lins])
+        x = np.linalg.lstsq(A, b, rcond=None)[0]
+        if np.linalg.norm(A @ x - b) > AFFINE_TOL * max(1.0, float(np.linalg.norm(b))):
+            return False
+        rows = []
+        for i in range(len(A)):
+            if np.linalg.matrix_rank(A[rows + [i]]) > len(rows):
+                rows.append(i)
+        return A[rows], b[rows], rows
+
+    @cached_property
+    def pinned_point(self) -> np.ndarray:
+        """The one point of A theta = b when the independent affine rows are
+        as many as the coordinates (read-only: copy it to hand it out)."""
+        A, b, _ = self.affine_system()
+        theta = np.linalg.solve(A, b)
+        theta.flags.writeable = False
+        return theta
+
+    @cached_property
+    def reduced(self) -> "Hypothesis":
+        """H with only its independent affine rows (`affine_system`)."""
+        rows = self.affine_system()[2]
+        return Hypothesis(self.inequalities, tuple(self.equalities[i] for i in rows))
+
 
 def complement(H: Hypothesis) -> Hypothesis:
-    """The complement hypothesis, Theta minus H (involutive)."""
+    """The complement hypothesis, Theta minus H (involutive): the same
+    object on every call, so its closure pieces are built once."""
     if H.negated_of is not None:
         return H.negated_of
-    return Hypothesis(negated_of=H, label=f"not({H.label})" if H.label else "complement")
+    return H._complement
 
 
 def hypothesis_contains(H: Hypothesis, theta):
@@ -657,6 +714,17 @@ def _texts(value, field: str) -> tuple:
     return tuple(value)
 
 
+def _number(spec: dict, field: str, kind=numbers.Real):
+    """spec[field], a number of type `kind` (a bool is none); raises
+    SpecError naming the field when it is missing or of another type."""
+    if field not in spec:
+        raise SpecError(f"{spec['family']} spec missing field {field!r}")
+    value = spec[field]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SpecError(f"{field!r} must be {'an integer' if kind is numbers.Integral else 'a number'}")
+    return value
+
+
 def hypothesis_from_spec(spec: dict, names: Sequence[str]) -> Hypothesis:
     """Build a Hypothesis from {"equalities": [...], "inequalities": [...]}."""
     if not isinstance(spec, dict):
@@ -680,20 +748,17 @@ def model_from_spec(spec: dict, data: Optional[Dataset] = None):
         raise SpecError("model spec must be an object with a 'family' field")
     family = spec["family"]
     if family == "gaussian-mean":
-        try:
-            model = make_gaussian_mean_model(spec["mean"], spec["variance"])
-        except KeyError as exc:
-            raise SpecError(f"gaussian-mean spec missing field {exc}") from exc
+        model = make_gaussian_mean_model(_number(spec, "mean"), _number(spec, "variance"))
     elif family == "polynomial-regression":
         if data is None:
             if "data" not in spec:
                 raise SpecError("polynomial-regression spec needs a dataset")
-            rows = np.asarray(spec["data"], dtype=float)
+            try:
+                rows = np.asarray(spec["data"], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise SpecError("'data' must be rows of numbers") from exc
             data = Dataset(rows, ("x", "y"))
-        try:
-            model = make_polynomial_regression_model(data, int(spec["order"]))
-        except KeyError as exc:
-            raise SpecError(f"polynomial-regression spec missing field {exc}") from exc
+        model = make_polynomial_regression_model(data, int(_number(spec, "order", numbers.Integral)))
     elif family == "generic":
         try:
             names = _texts(spec["coordinates"], "coordinates")

@@ -112,25 +112,34 @@ class SelectionRow:
         return {"order": self.order, "d": self.d, **dataclasses.asdict(self)}
 
 
+def order_fits(data: Dataset, k_max: int) -> list:
+    """The `least_squares` fits of orders 0..k_max.  Raises ValueError
+    unless 0 <= k_max <= n - 3 or when an order fits exactly (SSR = 0), and
+    as `least_squares` does."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    if k_max > data.n - 3:
+        raise ValueError("k_max too large for the dataset")
+    return [_inexact(least_squares(data, k)) for k in range(k_max + 1)]
+
+
 def selection_table(
     data: Dataset,
     k_max: int,
     sampler_cfg: Optional[SamplerConfig] = None,
     with_evalues: bool = False,
     n_max: int = 512,
+    fits: Optional[list] = None,
 ):
     """Rows for orders 0..k_max; e-value columns only when requested.
 
-    Every order is fitted once, all before any sampling, so an order whose
-    fit fails or is exact (SSR = 0) raises first.  Order k's columns and
-    its model read that fit; its sampler's seed is seed + 1000 k.
+    Every order is fitted once (`order_fits`, unless its `fits` are
+    given), all before any sampling, so an order whose fit fails or is
+    exact (SSR = 0) raises first.  Order k's columns and its model read
+    that fit; its sampler's seed is seed + 1000 k.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    if k_max > data.n - 3:
-        raise ValueError("k_max too large for the dataset")
     n = data.n
-    fits = [_inexact(least_squares(data, k)) for k in range(k_max + 1)]
+    fits = order_fits(data, k_max) if fits is None else fits
     base = sampler_cfg or SamplerConfig()
     rows = []
     for k, fit in enumerate(fits):
@@ -153,15 +162,17 @@ def select_order(
     threshold: float = 0.05,
     sampler_cfg: Optional[SamplerConfig] = None,
     n_max: int = 512,
+    fits: Optional[list] = None,
 ) -> dict:
     """Pick an order by a penalized-error criterion or the FBST scan.
 
     criterion in {fpe, sbc, gcv, sms, aic} picks the argmin of its column;
     criterion "fbst" scans k from k_max down and keeps the first order
     whose top coefficient has its null rejected (ev below the threshold).
+    `fits`, when given, are `order_fits(data, k_max)`.
     """
     fbst = criterion == "fbst"
-    rows = selection_table(data, k_max, sampler_cfg, with_evalues=fbst, n_max=n_max)
+    rows = selection_table(data, k_max, sampler_cfg, with_evalues=fbst, n_max=n_max, fits=fits)
     if fbst:
         selected = 0
         for row in sorted(rows, key=lambda r: -r.order):
@@ -184,12 +195,11 @@ def select_order(
     }
 
 
-def fitted_curves(data: Dataset, k_max: int):
-    """Plot data: a 101-point x grid, target curve, and fitted polynomials
-    per order."""
+def fitted_curves(data: Dataset, fits: list):
+    """Plot data: a 101-point x grid, target curve, and the fitted
+    polynomial of each order's fit in `fits` (`order_fits`)."""
     xs = np.linspace(data.column("x").min(), data.column("x").max(), 101)
     curves = {"x": xs, "target": target_function(xs)}
-    for k in range(k_max + 1):
-        beta = least_squares(data, k)[3]
-        curves[f"order_{k}"] = polynomial_design(xs, k) @ beta
+    for k, fit in enumerate(fits):
+        curves[f"order_{k}"] = polynomial_design(xs, k) @ fit[3]
     return curves

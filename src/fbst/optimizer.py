@@ -7,7 +7,8 @@ s* = sup over H of the surprise, found by the first rule that applies:
   raises InfeasibleHypothesisError at once, and redundant rows are dropped;
 - mode in H: when H has no equalities and contains the maximizer over
   Theta that the model's `closed_form` gives (`fbst.model.exact_mode`),
-  that is the answer, since sup_H s <= sup_Theta s = s(mode);
+  that is the answer, since sup_H s <= sup_Theta s = s(mode); the
+  residuals that decide membership are the optimum's;
 - affine closed forms: equalities that pin one point, and otherwise the
   maximizer over A theta = b that `closed_form` gives where the model has
   one (any consistent A beta = b on a polynomial regression's beta block);
@@ -21,6 +22,14 @@ s* = sup over H of the surprise, found by the first rule that applies:
   Its gradients come from batched difference quotients: one call of the
   objective or of a constraint on x and the d points x + h e_i, equal to
   scipy's own 2-point quotients (`_forward_differences`).
+
+What depends on H alone (the affine reduction, an inconsistent one
+included, the pinned point, the reduced system and a complement's closure
+pieces) is analysed once per Hypothesis and kept on it
+(`Hypothesis.affine_system`, `pinned_point`, `reduced`, `closure`), so
+a hypothesis tested against many posteriors pays for it once; what depends
+on the model, such as whether the pinned point lies within the bounds, is
+checked on every call.
 
 scipy.optimize is imported by the SLSQP path only, so `import fbst` and the
 exact rules run without it.
@@ -45,7 +54,6 @@ from .model import (
 from .sampler import SurpriseSample
 
 EPS_OPT = 1e-8
-AFFINE_TOL = 1e-9  # relative least-squares residual of a consistent A theta = b
 SLSQP_OPTIONS = {"ftol": 1e-12, "maxiter": 500}
 # finite stand-in for -log s where s vanishes (e.g. log(0) on a closed
 # bound, or an overflow far out), and -WALL where s = +inf, so that SLSQP's
@@ -95,9 +103,10 @@ def _on_bound(theta, bounds) -> bool:
     return False
 
 
-def _finish(model, H, theta, method, restarts=0) -> Optimum:
+def _finish(model, H, theta, method, restarts=0, residuals=None) -> Optimum:
+    """The Optimum at theta; `residuals`, when given, are H's at theta."""
     theta = np.asarray(theta, dtype=float)
-    eq_res, ineq_res = H.residuals(theta)
+    eq_res, ineq_res = H.residuals(theta) if residuals is None else residuals
     at_boundary = _on_bound(theta, model.space.lower) or _on_bound(theta, model.space.upper)
     return Optimum(
         log_s_star=float(model.log_surprise_safe(theta)),
@@ -129,41 +138,29 @@ def closed_form_constrained_mode(model: StatisticalModel, A, b=0.0) -> Optimum:
     return _finish(model, affine_hypothesis(A, b, "A.beta=b"), theta, "closed-form")
 
 
-def _affine_system(H: Hypothesis):
-    """(A, b, rows) for H's equalities when every one is affine, with the
-    redundant rows dropped (`rows` indexes the kept ones), else None.
-
-    Raises InfeasibleHypothesisError when A theta = b is inconsistent.
-    """
-    lins = H.linear_equalities
-    if H.negated_of is not None or not lins or len(lins) != len(H.equalities):
-        return None
-    A = np.array([le.coeffs for le in lins])
-    b = -np.array([le.offset for le in lins])
-    x = np.linalg.lstsq(A, b, rcond=None)[0]
-    if np.linalg.norm(A @ x - b) > AFFINE_TOL * max(1.0, float(np.linalg.norm(b))):
-        raise InfeasibleHypothesisError("the affine equalities are inconsistent")
-    rows = []
-    for i in range(len(A)):
-        if np.linalg.matrix_rank(A[rows + [i]]) > len(rows):
-            rows.append(i)
-    return A[rows], b[rows], rows
-
-
-def _exact_optimum(model: StatisticalModel, H: Hypothesis, affine) -> Optional[np.ndarray]:
+def _exact_optimum(model: StatisticalModel, H: Hypothesis, affine) -> Optional[tuple]:
+    """(theta, H's residuals at theta or None) from an exact rule, or None."""
     if not H.equalities:
         mode = exact_mode(model)
-        return None if mode is None or not H.contains(mode) else np.array(mode, dtype=float)
+        if mode is None:
+            return None
+        theta = np.array(mode, dtype=float)
+        if H.negated_of is not None:
+            return (theta, None) if H.contains(theta) else None
+        # without equalities, H contains theta iff no inequality is violated
+        residuals = H.residuals(theta)
+        return (theta, residuals) if residuals[1] <= 0.0 else None
     if affine is None or H.inequalities:
         return None
     A, b, _ = affine
     if len(A) == model.space.dimension:
         # the constraints pin a unique point
-        theta = np.linalg.solve(A, b)
+        theta = H.pinned_point.copy()
         if not model.space.contains(theta):
             raise InfeasibleHypothesisError("pinned point outside parameter bounds")
-        return theta
-    return exact_mode(model, A, b)
+        return theta, None
+    theta = exact_mode(model, A, b)
+    return None if theta is None else (theta, None)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +190,7 @@ def _starts(model, H, sample, cfg) -> list:
 def _subproblems(H: Hypothesis, affine) -> tuple:
     """Plain hypotheses whose suprema have H's supremum as their maximum:
     H's closure, with only the independent affine rows kept."""
-    if affine is None:
-        return H.closure()
-    return (Hypothesis(H.inequalities, tuple(H.equalities[i] for i in affine[2])),)
+    return H.closure() if affine is None else (H.reduced,)
 
 
 def _losses(model, thetas: np.ndarray) -> np.ndarray:
@@ -264,10 +259,11 @@ def maximize_surprise(
     are inconsistent or no start reaches a feasible point.
     """
     cfg = cfg or OptimizerConfig()
-    affine = _affine_system(H)
+    affine = H.affine_system()
     exact = _exact_optimum(model, H, affine)
     if exact is not None:
-        return _finish(model, H, exact, "closed-form")
+        theta, residuals = exact
+        return _finish(model, H, theta, "closed-form", residuals=residuals)
 
     # local, as in `_slsqp`: the exact rules above need no scipy.optimize
     from scipy.optimize import Bounds

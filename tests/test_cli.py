@@ -28,6 +28,11 @@ def run(capsys, argv):
     return code, json.loads(out)
 
 
+# the banana, whose Laplace fit the k-hat gate refuses, so it samples by the
+# random walk; and an inconsistent pair of affine equalities on it
+BANANA = {"family": "generic", "coordinates": ["a", "b"], "log_kernel": "-a^2/2 - (b - a^2)^2"}
+INCONSISTENT = ["a - b", "a - b - 1"]
+
 GAUSS_SPEC = {
     "family": "gaussian-mean",
     "mean": 1.0,
@@ -160,6 +165,27 @@ class TestEv:
             },
         )
         assert main(["ev", spec, "--seed", "0"] + FAST) == 3
+
+    def test_inconsistent_pair_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fbst.cli, "sample_posterior", lambda *a: calls.append(a))
+        spec = write_spec(tmp_path, {**BANANA, "hypothesis": {"equalities": INCONSISTENT}})
+        assert main(["ev", spec, "--seed", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the affine equalities are inconsistent\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("spec, message", [
+        ({**GAUSS_SPEC, "mean": [1]}, "'mean' must be a number"),
+        ({"family": "polynomial-regression", "order": [2], "data": [[0, 1], [1, 2], [2, 0], [3, 4]],
+          "hypothesis": {"equalities": ["b1"]}}, "'order' must be an integer"),
+    ], ids=["mean", "order"])
+    def test_wrongly_typed_field_exits_2(self, tmp_path, capsys, spec, message):
+        assert main(["ev", write_spec(tmp_path, spec), "--seed", "0"] + FAST) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_divergent_surprise_exits_4(self, tmp_path, capsys):
         # the reference log(a) vanishes on H = {a = 0}, where the kernel does not
@@ -313,6 +339,17 @@ class TestSelect:
         curves = np.loadtxt(plot, delimiter=",", skiprows=1)
         assert curves.shape[1] == 6  # x, target, orders 0-3
 
+    def test_plot_reads_the_table_fits(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a: calls.append(a) or qr(*a))
+        plot = tmp_path / "curves.csv"
+        code, _ = run(capsys, ["select", "--builtin", "sakamoto", "--emit-plot", str(plot)])
+        assert code == 0
+        assert len(calls) == 6  # one per order 0..5
+        curves = np.loadtxt(plot, delimiter=",", skiprows=1)
+        assert curves.shape == (101, 8)
+
     @pytest.mark.parametrize("criterion", ["sbc", "fbst"])
     def test_negative_kmax_exits_2(self, tmp_path, capsys, criterion):
         csv = tmp_path / "table.csv"
@@ -448,6 +485,21 @@ class TestCompose:
         (low_hash, _), (high_hash, _) = (self._hash_and_ev(capsys, net, burnin)
                                          for burnin in (1000, 5000))
         assert low_hash != high_hash
+
+    @pytest.mark.parametrize("hypothesis, code", [
+        ({"equalities": INCONSISTENT}, 3),
+        ({"equalities": "a"}, 2),
+    ], ids=["inconsistent", "malformed"])
+    def test_hypotheses_fail_before_sampling(self, tmp_path, capsys, monkeypatch, hypothesis, code):
+        calls = []
+        monkeypatch.setattr(composition, "sample_posterior", lambda *a: calls.append(a))
+        net = write_spec(tmp_path, {"serial": [BANANA], "disjuncts": [[hypothesis]]},
+                         name="net.json")
+        assert main(["compose", net, "--seed", "0"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert calls == []
 
     def test_models_built_once(self, tmp_path, capsys, monkeypatch):
         built = []

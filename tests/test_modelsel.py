@@ -23,6 +23,7 @@ from fbst.model import least_squares
 from fbst.modelsel import (
     aic,
     fitted_curves,
+    order_fits,
     selection_table,
     synthesize_dataset,
     target_function,
@@ -274,7 +275,7 @@ class TestGenerator:
         assert np.abs(resid).max() < 0.5
 
     def test_fitted_curves_shapes(self, table2):
-        curves = fitted_curves(table2, 3)
+        curves = fitted_curves(table2, order_fits(table2, 3))
         assert curves["x"].shape == (101,)
         assert set(f"order_{k}" for k in range(4)) <= set(curves)
 

@@ -348,6 +348,66 @@ class TestAffineSystems:
         assert np.allclose(opts[0].theta_star, opts[1].theta_star, atol=1e-6)
 
 
+def _slack(theta):
+    return np.abs(np.asarray(theta)[..., 0]) - 0.5
+
+
+def _same_optimum(a, b):
+    assert np.array_equal(a.theta_star, b.theta_star)
+    assert (a.log_s_star, a.eq_residual, a.ineq_residual, a.method, a.boundary_flag) == \
+           (b.log_s_star, b.eq_residual, b.ineq_residual, b.method, b.boundary_flag)
+
+
+class TestHypothesisAnalysis:
+    """What depends on H alone is computed once and kept on H."""
+
+    def test_reused_gaussian_hypotheses_match_fresh_copies(self):
+        sharp = point_hypothesis([0.0])
+        slack = Hypothesis(inequalities=(_slack,))
+        for i, mean in enumerate(np.linspace(-1.0, 1.0, 8)):
+            model = make_gaussian_mean_model(mean, 0.05)
+            sample = sample_posterior(model, SamplerConfig(seed=i, chains=2, draws=1000, burnin=100))
+            fresh = (point_hypothesis([0.0]), Hypothesis(inequalities=(_slack,)))
+            for reused, new in zip((sharp, slack), fresh):
+                for H, G in ((reused, new), (complement(reused), complement(new))):
+                    _same_optimum(maximize_surprise(model, H, sample, C4_CFG),
+                                  maximize_surprise(model, G, sample, C4_CFG))
+
+    def test_reused_coordinate_zero_matches_fresh_copies(self, reg_fits):
+        for k, (model, sample) in reg_fits.items():
+            H = coordinate_zero_hypothesis(k, k + 2)
+            for _ in range(2):
+                _same_optimum(maximize_surprise(model, H, sample, C4_CFG),
+                              maximize_surprise(model, coordinate_zero_hypothesis(k, k + 2),
+                                                sample, C4_CFG))
+
+    def test_inconsistent_pair_raises_on_every_call(self, gauss_model, gauss_sample):
+        H = hypothesis_from_spec({"equalities": ["theta", "theta - 1"]}, ("theta",))
+        for _ in range(3):
+            with pytest.raises(InfeasibleHypothesisError, match="inconsistent"):
+                maximize_surprise(gauss_model, H, gauss_sample)
+
+    def test_one_least_squares_check_per_hypothesis(self, monkeypatch, reg_fits):
+        model, sample = reg_fits[3]
+        H = hypothesis_from_spec({"equalities": ["b2", "b3"]}, model.space.names)
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(a) or lstsq(*a, **kw))
+        opts = [maximize_surprise(model, H, sample, C4_CFG) for _ in range(8)]
+        assert len(calls) == 1
+        assert all(np.array_equal(o.theta_star, opts[0].theta_star) for o in opts)
+
+    def test_complement_closure_pieces_kept(self, gauss_model, gauss_sample):
+        inner = hypothesis_from_spec({"inequalities": ["theta - 2", "-theta - 2"]}, ("theta",))
+        H = complement(inner)
+        assert complement(inner) is H
+        pieces = H.closure()
+        assert len(pieces) == 2
+        H.residuals(np.array([0.0]))
+        maximize_surprise(gauss_model, H, gauss_sample, C4_CFG)
+        assert all(a is b for a, b in zip(H.closure(), pieces))
+
+
 class TestGeneralPathCases:
     VAR = 0.16
 
