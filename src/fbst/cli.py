@@ -28,7 +28,7 @@ from .model import (
     model_from_spec,
 )
 from .modelsel import benchmark_dataset, fitted_curves, order_fits, select_order
-from .optimizer import UnboundedSurpriseError, maximize_surprise
+from .optimizer import UnboundedSurpriseError, check_hypothesis, maximize_surprise
 from .sampler import (
     InitializationError,
     SamplerConfig,
@@ -79,7 +79,7 @@ def _add_sampler_flags(p: argparse.ArgumentParser):
     p.add_argument("--draws", type=int, default=50_000, help="retained draws per chain")
     p.add_argument("--chains", type=int, default=4)
     p.add_argument("--burnin", type=int, default=10_000)
-    p.add_argument("--nmax", type=int, default=512, help="condensation bound of composed ladders")
+    p.add_argument("--nmax", type=int, default=512, help="at least 2; ev echoes it as n_max")
     p.add_argument("--out", default=None, help="write JSON output here too")
 
 
@@ -98,7 +98,7 @@ def cmd_ev(args) -> tuple:
     model, hyp = model_from_spec(spec, data)
     if hyp is None:
         raise SpecError("model spec carries no hypothesis")
-    hyp.affine_system()  # an inconsistent A theta = b raises before sampling
+    check_hypothesis(model, hyp)  # an inconsistent or out-of-bounds H raises before sampling
     cfg = _sampler_config(args)
     if model.draw is not None:
         del args.burnin  # exact draws read no burn-in: keep it out of config_hash
@@ -107,7 +107,7 @@ def cmd_ev(args) -> tuple:
     payload = report.to_dict()
     if args.threshold is not None:
         comp = maximize_surprise(model, complement(hyp), sample)
-        payload["ev_complement"] = sample_truth(sample, comp.log_s_star)
+        payload["ev_complement"] = sample_truth(sample.log_surprise, comp.log_s_star)
         decision = gfbst_decide(report.ev, payload["ev_complement"], args.threshold)
         payload["decision"] = {0.0: "reject", 0.5: "agnostic", 1.0: "accept"}[decision.value]
     return payload, EXIT_OK
@@ -171,14 +171,12 @@ def cmd_compose(args) -> tuple:
     models, rows = network_models(spec)
     if all(m.draw is not None for m in models):
         del args.burnin  # exact draws read no burn-in: keep it out of config_hash
-    structure, ev = analyze_models(models, rows, cfg, args.nmax)
+    grid, ev = analyze_models(models, rows, cfg)
     return {
         "ev": ev,
-        "components": structure.k,
-        "disjuncts": structure.q,
-        "log_s_star": [
-            [None if np.isnan(v) else v for v in row] for row in structure.log_s_star
-        ],
+        "components": grid.shape[1],
+        "disjuncts": grid.shape[0],
+        "log_s_star": [[None if np.isnan(v) else v for v in row] for row in grid],
     }, EXIT_OK
 
 

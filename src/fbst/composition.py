@@ -4,7 +4,8 @@ conjunctive/disjunctive e-values over parallel-serial hypothesis networks.
 All arithmetic is carried in log space: products of surprise values become
 sums of log-supports, so k-fold products cannot underflow. Composite
 e-values read the last convolution at their query points (`convolved_truth`)
-instead of building the joint ladder.
+instead of building the joint ladder. A network of sampled models
+(`analyze_models`) needs no ladder: it counts its joint sample.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .model import SpecError, hypothesis_from_spec, model_from_spec
-from .optimizer import maximize_surprise
+from .optimizer import check_hypothesis, maximize_surprise
 from .sampler import SamplerConfig, sample_posterior
-from .truth import TruthLadder, _ladder_from_sorted, condense, estimate_truth_ladder, eval_truth
+from .truth import TruthLadder, _ladder_from_sorted, condense, eval_truth, sample_truth
 
 DEFAULT_PAIR_BUDGET = 2 ** 20
 _SIDE_CAP = math.isqrt(DEFAULT_PAIR_BUDGET)  # points per side of one convolution
@@ -279,31 +280,43 @@ def network_models(spec: dict) -> tuple:
                      for h, m in zip(row, models)] for row in rows]
 
 
-def analyze_models(models, rows, sampler_cfg=None, n_max: int = 512):
-    """(structure, disjunctive e-value) of the network that `network_models`
-    returned as (models, rows of compiled hypotheses).  An inconsistent
-    affine system raises InfeasibleHypothesisError before any sampling."""
+def analyze_models(models, rows, sampler_cfg=None):
+    """(log_s_star grid of shape (q, k), disjunctive e-value) of the network
+    that `network_models` returned as (models, rows of compiled hypotheses).
+
+    Slot j is sampled with seed + j from one SamplerConfig, so every slot
+    has the same M draws, and draw i of every slot, taken together, is a
+    draw of the joint posterior: iid pairs for exact draws, a stationary
+    joint chain for the Metropolis samplers.  Row r's e-value is then the
+    joint sample's own count, #{i : sum_j log s_j,i <= q_r} / M
+    (`sample_truth`), where q_r sums the row's constrained log s*_j and,
+    for each unconstrained slot, that slot's largest sampled log s; the
+    disjunctive e-value is the rows' maximum.  No ladder is built: one slot
+    reads what `evalue` reads on the same model, hypothesis and config.
+    `check_hypothesis` runs on every hypothesis before any sampling.
+    """
     for row in rows:
-        for H in row:
+        for H, m in zip(row, models):
             if H is not None:
-                H.affine_system()
-    k = len(models)
+                check_hypothesis(m, H)
     cfg = sampler_cfg or SamplerConfig()
-    ladders, samples = [], []
-    for j, m in enumerate(models):
-        s = sample_posterior(m, dataclasses.replace(cfg, seed=cfg.seed + j))
-        samples.append(s)
-        ladders.append(estimate_truth_ladder(s, n_max))
-    grid = np.full((len(rows), k), np.nan)
+    samples = [sample_posterior(m, dataclasses.replace(cfg, seed=cfg.seed + j))
+               for j, m in enumerate(models)]
+    grid = np.full((len(rows), len(models)), np.nan)
     for i, row in enumerate(rows):
         for j, H in enumerate(row):
             if H is not None:
                 grid[i, j] = maximize_surprise(models[j], H, samples[j]).log_s_star
-    structure = CompositeStructure(tuple(ladders), grid)
-    return structure, disjunctive_evalue(structure, n_max)
+    tops = [s.log_surprise.max() for s in samples]
+    # both sums add the slots in order, so a row of every slot's top reads 1;
+    # -inf + inf is NaN, which sample_truth rejects
+    with np.errstate(invalid="ignore"):
+        totals = sum(np.where(np.isnan(grid), tops, grid).T)
+        joint = sum(s.log_surprise for s in samples)
+    return grid, max(sample_truth(joint, q) for q in totals)
 
 
-def analyze_network(spec: dict, sampler_cfg=None, n_max: int = 512):
-    """Build a CompositeStructure from a network spec dict and return
-    (structure, disjunctive e-value); see `network_models` for the spec."""
-    return analyze_models(*network_models(spec), sampler_cfg, n_max)
+def analyze_network(spec: dict, sampler_cfg=None):
+    """(log_s_star grid, disjunctive e-value) of a network spec dict; see
+    `network_models` for the spec and `analyze_models` for the count."""
+    return analyze_models(*network_models(spec), sampler_cfg)

@@ -139,7 +139,7 @@ def evalue(
     """
     if optimum is None:
         optimum = maximize_surprise(model, H, sample, opt_cfg)
-    ev = sample_truth(sample, optimum.log_s_star)
+    ev = sample_truth(sample.log_surprise, optimum.log_s_star)
     t = model.space.dimension
     try:
         ess = effective_sample_size(sample)

@@ -29,7 +29,8 @@ pieces) is analysed once per Hypothesis and kept on it
 (`Hypothesis.affine_system`, `pinned_point`, `reduced`, `closure`), so
 a hypothesis tested against many posteriors pays for it once; what depends
 on the model, such as whether the pinned point lies within the bounds, is
-checked on every call.
+checked on every call, by `check_hypothesis`, which the CLI also runs
+before it samples.
 
 scipy.optimize is imported by the SLSQP path only, so `import fbst` and the
 exact rules run without it.
@@ -138,6 +139,18 @@ def closed_form_constrained_mode(model: StatisticalModel, A, b=0.0) -> Optimum:
     return _finish(model, affine_hypothesis(A, b, "A.beta=b"), theta, "closed-form")
 
 
+def check_hypothesis(model: StatisticalModel, H: Hypothesis) -> Optional[tuple]:
+    """H's affine system (`Hypothesis.affine_system`), after the checks that
+    need no sample: InfeasibleHypothesisError when A theta = b is
+    inconsistent, or when its rows pin a point outside the model's bounds.
+    Callers run it before they sample."""
+    affine = H.affine_system()
+    if (affine is not None and len(affine[0]) == model.space.dimension
+            and not model.space.contains(H.pinned_point)):
+        raise InfeasibleHypothesisError("pinned point outside parameter bounds")
+    return affine
+
+
 def _exact_optimum(model: StatisticalModel, H: Hypothesis, affine) -> Optional[tuple]:
     """(theta, H's residuals at theta or None) from an exact rule, or None."""
     if not H.equalities:
@@ -154,11 +167,8 @@ def _exact_optimum(model: StatisticalModel, H: Hypothesis, affine) -> Optional[t
         return None
     A, b, _ = affine
     if len(A) == model.space.dimension:
-        # the constraints pin a unique point
-        theta = H.pinned_point.copy()
-        if not model.space.contains(theta):
-            raise InfeasibleHypothesisError("pinned point outside parameter bounds")
-        return theta, None
+        # the constraints pin a unique point, within the bounds (`check_hypothesis`)
+        return H.pinned_point.copy(), None
     theta = exact_mode(model, A, b)
     return None if theta is None else (theta, None)
 
@@ -255,11 +265,11 @@ def maximize_surprise(
     """sup of the surprise function over H, with the tangential point.
 
     Tries the exact rules first, then SLSQP from each start on each
-    subproblem.  Raises InfeasibleHypothesisError when the affine equalities
-    are inconsistent or no start reaches a feasible point.
+    subproblem.  Raises InfeasibleHypothesisError when `check_hypothesis`
+    does or no start reaches a feasible point.
     """
     cfg = cfg or OptimizerConfig()
-    affine = H.affine_system()
+    affine = check_hypothesis(model, H)
     exact = _exact_optimum(model, H, affine)
     if exact is not None:
         theta, residuals = exact

@@ -57,9 +57,8 @@ point the same value in any batch.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,11 +113,6 @@ class SamplerConfig:
             raise ValueError("bad sampler configuration")
 
 
-# fields that sidecars written before their removal may hold, each with
-# the one value that means what the config now does
-_REMOVED_FIELDS = {"algorithm": "metropolis", "scale": None}
-
-
 @dataclass
 class SurpriseSample:
     """Retained posterior draws with aligned per-draw log-surprise values."""
@@ -137,38 +131,6 @@ class SurpriseSample:
     @property
     def dimension(self) -> int:
         return self.draws.shape[1]
-
-    def to_csv(self, path) -> None:
-        """Write draws + logS as CSV plus a JSON sidecar with the config."""
-        header = ",".join([f"theta_{i}" for i in range(self.dimension)] + ["logS"])
-        body = np.column_stack([self.draws, self.log_surprise])
-        np.savetxt(path, body, delimiter=",", header=header, comments="")
-        sidecar = {
-            "config": asdict(self.config),
-            "acceptance_rates": self.acceptance_rates.tolist(),
-            "stationarity_flags": self.stationarity_flags.tolist(),
-            "iid": self.iid,
-        }
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(sidecar, fh, indent=2)
-
-    @classmethod
-    def from_csv(cls, path) -> "SurpriseSample":
-        body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        with open(str(path) + ".json") as fh:
-            sidecar = json.load(fh)
-        config = sidecar["config"]
-        for name, value in _REMOVED_FIELDS.items():
-            if (old := config.pop(name, value)) != value:
-                raise ValueError(f"sidecar config field {name!r} = {old!r} is no longer supported")
-        return cls(
-            draws=body[:, :-1],
-            log_surprise=body[:, -1],
-            acceptance_rates=np.asarray(sidecar["acceptance_rates"]),
-            config=SamplerConfig(**config),
-            stationarity_flags=np.asarray(sidecar.get("stationarity_flags", []), dtype=bool),
-            iid=bool(sidecar.get("iid", False)),
-        )
 
 
 def _initial_point(model: StatisticalModel) -> np.ndarray:

@@ -4,9 +4,9 @@ A TruthLadder is a right-continuous step CDF of the log-surprise value under
 the posterior: W(v) = max{w_i : v_i <= v}, 0 below the first support point.
 Support values are stored in log space throughout.
 Empirical and convolved ladders take one sort and one cumulative sum, and
-are condensed to n_max points before a TruthLadder is built.  A single
-e-value needs no ladder: `sample_truth` reads W at one point from the whole
-sample.
+are condensed to n_max points before a TruthLadder is built.  An e-value
+needs no ladder: `sample_truth` reads W at one point from the whole
+sample's log-surprise values, or from their sums over a joint sample.
 """
 
 from __future__ import annotations
@@ -45,15 +45,6 @@ class TruthLadder:
     def atom_masses(self) -> np.ndarray:
         return np.diff(np.concatenate([[0.0], self.w]))
 
-    def to_csv(self, path) -> None:
-        np.savetxt(
-            path,
-            np.column_stack([self.log_v, self.w]),
-            delimiter=",",
-            header="log_v,w",
-            comments="",
-        )
-
 
 def eval_truth(ladder: TruthLadder, log_v) -> np.ndarray:
     """Right-continuous evaluation W(v) at log-scale query points; a NaN
@@ -70,16 +61,17 @@ def eval_truth(ladder: TruthLadder, log_v) -> np.ndarray:
     return out[()] if np.ndim(out) == 0 else out
 
 
-def sample_truth(sample: SurpriseSample, log_v: float) -> float:
-    """W(v) of the sample itself, #{i : log s_i <= v} / M: one pass, no sort,
-    no condensation.  Queries read as in `eval_truth`: NaN raises
-    ValueError, +inf reads 1 and -inf reads 0."""
+def sample_truth(log_surprise: np.ndarray, log_v: float) -> float:
+    """W(v) of a sample's log-surprise values themselves,
+    #{i : log s_i <= v} / M: one pass, no sort, no condensation.  Queries
+    read as in `eval_truth`: NaN raises ValueError, +inf reads 1 and -inf
+    reads 0."""
     v = float(log_v)
     if np.isnan(v):
         raise ValueError("truth function queried at NaN")
     if np.isinf(v):
         return float(v > 0)
-    return np.count_nonzero(sample.log_surprise <= v) / sample.size
+    return np.count_nonzero(log_surprise <= v) / log_surprise.size
 
 
 def _condensed_index(w: np.ndarray, n_max: int):

@@ -32,6 +32,10 @@ def run(capsys, argv):
 # random walk; and an inconsistent pair of affine equalities on it
 BANANA = {"family": "generic", "coordinates": ["a", "b"], "log_kernel": "-a^2/2 - (b - a^2)^2"}
 INCONSISTENT = ["a - b", "a - b - 1"]
+# the banana with `a` bounded, and a pair of equalities that pins a point
+# outside the bounds
+BOUNDED_BANANA = {**BANANA, "bounds": [[-1, 1], [None, None]]}
+OUTSIDE = ["a - 2", "b"]
 
 GAUSS_SPEC = {
     "family": "gaussian-mean",
@@ -174,6 +178,17 @@ class TestEv:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: the affine equalities are inconsistent\n"
+        assert calls == []
+
+    def test_pinned_point_outside_bounds_fails_before_sampling(self, tmp_path, capsys,
+                                                               monkeypatch):
+        calls = []
+        monkeypatch.setattr(fbst.cli, "sample_posterior", lambda *a: calls.append(a))
+        spec = write_spec(tmp_path, {**BOUNDED_BANANA, "hypothesis": {"equalities": OUTSIDE}})
+        assert main(["ev", spec, "--seed", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: pinned point outside parameter bounds\n"
         assert calls == []
 
     @pytest.mark.parametrize("spec, message", [
@@ -435,7 +450,10 @@ class TestCompose:
         code, payload = run(capsys, ["compose", net, "--seed", "0"] + FAST)
         assert code == 0
         assert payload["components"] == 1 and payload["disjuncts"] == 1
-        assert payload["ev"] == pytest.approx(0.3173105, abs=0.02)
+        # the same model, hypothesis, seed and flags as `fbst ev` reads
+        _, single = run(capsys, ["ev", write_spec(tmp_path, GAUSS_SPEC), "--seed", "0"] + FAST)
+        assert payload["ev"] == single["ev"]
+        assert payload["log_s_star"] == [[single["log_s_star"]]]
 
     def test_unconstrained_slot_serialized_as_null(self, tmp_path, capsys):
         net = write_spec(
@@ -474,7 +492,8 @@ class TestCompose:
         net = write_spec(tmp_path, NET_SPEC, name="net.json")
         low, high = (self._hash_and_ev(capsys, net, burnin) for burnin in (1000, 5000))
         assert low == high
-        assert low[1] == pytest.approx(0.3145, abs=5e-5)
+        # `fbst ev`'s value at these flags
+        assert low[1] == pytest.approx(0.31525, abs=5e-5)
 
     def test_random_walk_keeps_burnin_in_config_hash(self, tmp_path, capsys):
         # one generic slot beside an exact one: a Metropolis sampler runs
@@ -486,14 +505,16 @@ class TestCompose:
                                          for burnin in (1000, 5000))
         assert low_hash != high_hash
 
-    @pytest.mark.parametrize("hypothesis, code", [
-        ({"equalities": INCONSISTENT}, 3),
-        ({"equalities": "a"}, 2),
-    ], ids=["inconsistent", "malformed"])
-    def test_hypotheses_fail_before_sampling(self, tmp_path, capsys, monkeypatch, hypothesis, code):
+    @pytest.mark.parametrize("model, hypothesis, code", [
+        (BANANA, {"equalities": INCONSISTENT}, 3),
+        (BANANA, {"equalities": "a"}, 2),
+        (BOUNDED_BANANA, {"equalities": OUTSIDE}, 3),
+    ], ids=["inconsistent", "malformed", "outside-bounds"])
+    def test_hypotheses_fail_before_sampling(self, tmp_path, capsys, monkeypatch, model, hypothesis,
+                                             code):
         calls = []
         monkeypatch.setattr(composition, "sample_posterior", lambda *a: calls.append(a))
-        net = write_spec(tmp_path, {"serial": [BANANA], "disjuncts": [[hypothesis]]},
+        net = write_spec(tmp_path, {"serial": [model], "disjuncts": [[hypothesis]]},
                          name="net.json")
         assert main(["compose", net, "--seed", "0"]) == code
         captured = capsys.readouterr()
@@ -530,6 +551,23 @@ def test_out_file_holds_what_stdout_prints(tmp_path, capsys, argv, want_code):
     printed = capsys.readouterr().out
     assert out.read_text() == printed
     assert json.loads(printed)["manifest"]["command"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--builtin", "sakamoto", "--kmax", "3", "--criterion", "fbst", "--seed", "0",
+     "--draws", "1000"],
+    ["compose", "NET2", "--seed", "0"] + FAST,
+], ids=["select", "compose"])
+def test_no_command_builds_a_ladder(tmp_path, capsys, monkeypatch, argv):
+    # `fbst ev`'s twin is TestEv::test_decision_builds_no_ladder
+    def refuse(ladder):
+        raise AssertionError("ladder built")
+
+    monkeypatch.setattr(fbst.TruthLadder, "__post_init__", refuse)
+    net2 = {"serial": NET_SPEC["serial"] * 2, "disjuncts": [[{"equalities": ["theta"]}, None]]}
+    argv = [write_spec(tmp_path, net2) if a == "NET2" else a for a in argv]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("nmax", ["1", "0", "-5"])

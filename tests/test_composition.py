@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -12,6 +13,7 @@ from fbst import (
     conjunctive_evalue,
     disjunctive_evalue,
     eval_truth,
+    evalue,
     make_gaussian_mean_model,
     mellin_convolve,
     point_hypothesis,
@@ -22,10 +24,13 @@ from fbst.composition import (
     MissingComponentError,
     _pair_counts,
     _stable_pair_order,
+    analyze_models,
     analyze_network,
     convolve_all,
     convolved_truth,
+    network_models,
 )
+from fbst.evalue import chi2_cdf, chi2_quantile
 from fbst.truth import estimate_truth_ladder, sup_distance
 from test_truth import (
     _reference_condense,
@@ -484,10 +489,43 @@ class TestAnalyzeNetwork:
             [[{"equalities": ["theta"]}, None], [None, {"equalities": ["theta - 2"]}]]
         )
         cfg = SamplerConfig(seed=0, chains=2, draws=10_000, burnin=2_000)
-        structure, ev = analyze_network(spec, cfg)
-        assert structure.k == 2 and structure.q == 2
+        grid, ev = analyze_network(spec, cfg)
+        assert grid.shape == (2, 2)
         # second row constrains component 2 at its mode: disjunction near 1
         assert ev == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("family, hypothesis", [
+        ({"family": "gaussian-mean", "mean": 1.0, "variance": 1.0}, {"equalities": ["theta"]}),
+        ({"family": "generic", "coordinates": ["a", "b"],
+          "log_kernel": "-((a - 1.2)^2 + (b + 0.4)^2) / (2 * 0.09)"}, {"equalities": ["a - 1.3"]}),
+    ], ids=["exact", "independence"])
+    def test_one_slot_reads_the_evalue(self, family, hypothesis):
+        # the same model, hypothesis and config read the same draws, and
+        # both count them against the same log s*
+        cfg = SamplerConfig(seed=3, chains=2, draws=5_000, burnin=1_000)
+        spec = {"serial": [family], "disjuncts": [[hypothesis]]}
+        grid, ev = analyze_network(spec, cfg)
+        (model,), ((H,),) = network_models(spec)
+        report = evalue(model, H, sample_posterior(model, cfg))
+        assert grid[0, 0] == report.log_s_star
+        assert ev == report.ev
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_joint_count_is_unbiased(self, k):
+        # N(0, 1) slots, log s = -theta^2 / 2, each pinned at c with
+        # k c^2 = z: the composite W is chi2_k.sf(z) = 1 - Q(k, -2 q)
+        models = [make_gaussian_mean_model(0.0, 1.0)] * k
+        cfg = SamplerConfig(chains=4, draws=50_000)
+        for exact in (0.01, 0.3):
+            c = math.sqrt(chi2_quantile(k, 1.0 - exact) / k)
+            rows = [[point_hypothesis([c])] * k]
+            errors = []
+            for seed in range(20):
+                # slot j reads seed + j, so the runs share no slot's draws
+                grid, ev = analyze_models(models, rows, dataclasses.replace(cfg, seed=100 * seed))
+                errors.append(ev - (1.0 - chi2_cdf(k, -2.0 * grid[0].sum())))
+            errors = np.array(errors)
+            assert abs(errors.mean()) <= 3 * errors.std(ddof=1) / math.sqrt(errors.size), (exact, errors)
 
     def test_network_spec_validation(self):
         from fbst import SpecError

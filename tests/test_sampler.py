@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import os
 import subprocess
@@ -884,72 +883,3 @@ class TestEffectiveSampleSize:
         # the random walk's autocorrelated series is still estimated
         assert effective_sample_size(walk) < walk.size
         assert len(series) == cfg.chains
-
-
-def _round_trip(sample, path):
-    sample.to_csv(path)
-    back = SurpriseSample.from_csv(path)
-    # np.savetxt's %.18e round-trips float64 exactly
-    for name in ("draws", "log_surprise", "acceptance_rates", "stationarity_flags"):
-        assert np.array_equal(getattr(back, name), getattr(sample, name)), name
-    assert back.config == sample.config
-    assert back.iid == sample.iid
-
-
-def _write_old_sidecar(path, sample, **removed):
-    """`sample` as CSV with a sidecar in the layout written while
-    SamplerConfig had `algorithm` and `scale` fields (`removed` overrides
-    their values)."""
-    sample.to_csv(path)
-    cfg = sample.config
-    config = {"algorithm": "metropolis", "chains": cfg.chains, "draws": cfg.draws,
-              "burnin": cfg.burnin, "thin": cfg.thin, "scale": None, "seed": cfg.seed}
-    config.update(removed)
-    sidecar = {"config": config, "acceptance_rates": sample.acceptance_rates.tolist(),
-               "stationarity_flags": sample.stationarity_flags.tolist()}
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-
-
-class TestSerialization:
-    def test_csv_round_trip(self, tmp_path, gauss_sample):
-        small = SurpriseSample(
-            draws=gauss_sample.draws[:2000],
-            log_surprise=gauss_sample.log_surprise[:2000],
-            acceptance_rates=gauss_sample.acceptance_rates,
-            config=gauss_sample.config,
-            stationarity_flags=gauss_sample.stationarity_flags,
-        )
-        _round_trip(small, tmp_path / "sample.csv")
-
-    def test_random_walk_round_trip(self, tmp_path):
-        model = model_from_spec(BOUNDED_SPEC)[0]
-        sample = sample_posterior(model, SamplerConfig(seed=3, chains=2, draws=1_000, burnin=300))
-        assert np.all(sample.acceptance_rates < 1.0)
-        _round_trip(sample, tmp_path / "walk.csv")
-
-    def test_exact_round_trip_and_sidecar_without_iid(self, tmp_path):
-        sample = sample_posterior(make_gaussian_mean_model(0.0, 1.0),
-                                  SamplerConfig(seed=3, chains=2, draws=1_000))
-        assert sample.iid
-        _round_trip(sample, tmp_path / "exact.csv")
-        # a sidecar written before the field loads as not iid, so its ESS
-        # is estimated as it was then
-        path = tmp_path / "old.csv"
-        _write_old_sidecar(path, sample)
-        assert not SurpriseSample.from_csv(path).iid
-
-    def test_sidecar_with_the_removed_fields_loads(self, tmp_path):
-        sample = _manual_sample(_ar1(0.5, 1000, seed=5))
-        path = tmp_path / "old.csv"
-        _write_old_sidecar(path, sample)
-        back = SurpriseSample.from_csv(path)
-        assert back.config == sample.config
-        assert np.array_equal(back.log_surprise, sample.log_surprise)
-
-    @pytest.mark.parametrize("name, value", [("scale", 5.0), ("algorithm", "hit-and-run")])
-    def test_removed_field_with_another_value_raises(self, tmp_path, name, value):
-        path = tmp_path / "old.csv"
-        _write_old_sidecar(path, _manual_sample(_ar1(0.5, 1000, seed=5)), **{name: value})
-        with pytest.raises(ValueError, match=name):
-            SurpriseSample.from_csv(path)

@@ -117,14 +117,6 @@ class TestTruthLadder:
         got = eval_truth(ladder, np.log([0.5, 1.0, 3.7, 10.0]))
         assert np.allclose(got, [0.0, 0.25, 0.75, 1.0])
 
-    def test_csv(self, tmp_path):
-        ladder = four_atom_ladder()
-        path = tmp_path / "ladder.csv"
-        ladder.to_csv(path)
-        body = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.allclose(body[:, 0], ladder.log_v)
-        assert np.allclose(body[:, 1], ladder.w)
-
 
 class TestCondense:
     def test_noop_when_small(self):
@@ -253,9 +245,10 @@ class TestSampleTruth:
         ladder = estimate_truth_ladder(sample, n_max=sample.size)
         queries = np.concatenate([self.VALUES, np.nextafter(self.VALUES, -np.inf), [-10.0, 10.0]])
         for q in queries:
-            assert sample_truth(sample, q) == eval_truth(ladder, q), q
-        assert sample_truth(sample, -np.inf) == 0.0 and sample_truth(sample, np.inf) == 1.0
+            assert sample_truth(sample.log_surprise, q) == eval_truth(ladder, q), q
+        assert sample_truth(sample.log_surprise, -np.inf) == 0.0
+        assert sample_truth(sample.log_surprise, np.inf) == 1.0
 
     def test_nan_query_raises(self):
         with pytest.raises(ValueError, match="NaN"):
-            sample_truth(self._sample(), np.nan)
+            sample_truth(self.VALUES, np.nan)
