@@ -92,6 +92,8 @@ def _resolve_seed(args) -> int:
 
 def cmd_ev(args) -> tuple:
     _resolve_seed(args)
+    if args.threshold is not None and not 0.0 < args.threshold < 1.0:
+        raise SpecError("threshold must lie strictly inside (0, 1)")
     with open(args.spec) as fh:
         spec = json.load(fh)
     data = Dataset.from_csv(args.data) if args.data else None
@@ -155,6 +157,8 @@ def cmd_verify_logic(args) -> tuple:
     _resolve_seed(args)
     if args.grid < 4:
         raise SpecError("grid must be at least 4x4")
+    if args.trials < 0:
+        raise SpecError("--trials must be at least 0")
     rng = np.random.default_rng(args.seed)
     grid = GridModel.random(args.grid, rng)
     report = check_logical_properties(

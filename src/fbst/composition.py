@@ -270,8 +270,8 @@ def network_models(spec: dict) -> tuple:
     if not isinstance(spec, dict) or "serial" not in spec or "disjuncts" not in spec:
         raise SpecError("network spec needs 'serial' and 'disjuncts' fields")
     serial, rows = spec["serial"], spec["disjuncts"]
-    if not isinstance(serial, list):
-        raise SpecError("'serial' must be a list of model specs")
+    if not isinstance(serial, list) or not serial:
+        raise SpecError("'serial' must be a non-empty list of model specs")
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) and len(r) == len(serial) for r in rows)):
         raise SpecError("each disjunct row must list one hypothesis per serial slot")

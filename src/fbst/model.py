@@ -540,6 +540,8 @@ class Dataset:
         return self.values.shape[0]
 
     def column(self, name: str) -> np.ndarray:
+        if name not in self.columns:
+            raise ValueError(f"dataset has no column {name!r}; its columns are {', '.join(self.columns)}")
         return self.values[:, self.columns.index(name)]
 
     @classmethod

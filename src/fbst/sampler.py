@@ -18,8 +18,8 @@ shorter run's draws.  Exact draws have no such prefix: the regression's
 
 Exact draws.  Chain c takes `draws` points from one call of the model's
 `draw` on `default_rng(SeedSequence(seed).spawn(chains)[c])`; there is no
-burn-in, thinning or proposal scale, and every draw counts as accepted.
-The sample is marked `iid`, so its effective sample size is its size.
+burn-in or proposal scale, and every draw counts as accepted.  The sample
+is marked `iid`, so its effective sample size is its size.
 One kernel call on all chains' points gives their log-kernels.  A model
 whose `draw` returns column-major arrays (the polynomial regression's) gets
 a column-major `SurpriseSample.draws`, of the same (M, d) shape.
@@ -27,8 +27,8 @@ a column-major `SurpriseSample.draws`, of the same (M, d) shape.
 Independence Metropolis-Hastings.  The proposal q is `t_proposal`'s t at
 the fit (center m).  Its generators hold the normals, the chi-squares and
 the log-uniforms.  A chain starts at m; a step accepts iff
-log u < w - w_current, w = log kernel - log q, and draws are kept as the
-random walk keeps them.
+log u < w - w_current, w = log kernel - log q.  Both Metropolis samplers
+keep the state after every post-burn-in step (`_retain`).
 
 Random-walk Metropolis.  Its generators hold the proposal normals and the
 acceptance uniforms.
@@ -47,9 +47,9 @@ its next acceptance, so a round consumes up to two acceptances.  Either
 run stops at the end of the chain's window: the chunk's end and, during
 burn-in, the chain's next 50-step adaptation point, so the scale is fixed
 within it; a burn-in end between two such points changes no scale and ends
-no window.  Retention is deferred to the chunk's end: each chain logs the
-steps it accepted and their log-kernels, and a cumulative sum of the
-accepted moves from its chunk-start state repeats the loop's additions.
+no window.  Each chain logs the steps it accepted and their log-kernels,
+and at the chunk's end a cumulative sum of the accepted moves from its
+chunk-start state repeats the loop's additions.
 The draws therefore equal, bit for bit, those of generating each segment
 in one call and stepping one step at a time, provided the kernel gives a
 point the same value in any batch.
@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -93,23 +94,23 @@ class SamplerConfig:
     identical draws.
 
     Exact draws, on a model that sets `draw`, read `chains`, `draws` and
-    `seed` only: `burnin` and `thin` have no effect on them, and their
-    `chains * draws` points are iid, so that is their ESS.  The two
-    Metropolis samplers read every field.  The random walk's proposal
-    starts at 2.38 / sqrt(d) times the model's `proposal_chol` and adapts
-    during burn-in; scale `proposal_chol` for another start.
+    `seed` only: `burnin` has no effect on them, and their `chains * draws`
+    points are iid, so that is their ESS.  The two Metropolis samplers read
+    every field and keep all `draws` post-burn-in steps.  The random walk's
+    proposal starts at 2.38 / sqrt(d) times the model's `proposal_chol` and
+    adapts during burn-in; scale `proposal_chol` for another start.
     """
 
     chains: int = 4
     draws: int = 50_000  # retained draws per chain
     burnin: int = 10_000
-    thin: int = 1
     seed: int = 0
+    thin: ClassVar[int] = 1  # not a field: no thinning; the benchmark's step count reads it
 
     def __post_init__(self):
         if self.draws < 1000:
             raise ValueError("need at least 1000 retained draws per chain")
-        if self.burnin < 0 or self.chains < 1 or self.thin < 1:
+        if self.burnin < 0 or self.chains < 1:
             raise ValueError("bad sampler configuration")
 
 
@@ -180,18 +181,16 @@ def sample_posterior(model: StatisticalModel, cfg: SamplerConfig) -> SurpriseSam
     # halves go into one (2, d, chains * half) copy, read along contiguous
     # runs of column-major draws, and its sums run along its last axis:
     # the bits of mean(axis=-1) and var(axis=-1) on each half
-    flags = np.zeros(d, dtype=bool)
     half = cfg.draws // 2
-    if half >= 10:
-        halves = (retained[:, : 2 * half].reshape(cfg.chains, 2, half, d)
-                  .transpose(1, 3, 0, 2).reshape(2, d, -1))
-        size = halves.shape[-1]
-        mean = halves.sum(axis=-1, keepdims=True) / size
-        dev = halves - mean
-        dev *= dev
-        var = dev.sum(axis=-1) / size
-        se = np.sqrt(var[0] / half + var[1] / half) + 1e-300
-        flags = np.abs(mean[0, :, 0] - mean[1, :, 0]) > 4.0 * se
+    halves = (retained[:, : 2 * half].reshape(cfg.chains, 2, half, d)
+              .transpose(1, 3, 0, 2).reshape(2, d, -1))
+    size = halves.shape[-1]
+    mean = halves.sum(axis=-1, keepdims=True) / size
+    dev = halves - mean
+    dev *= dev
+    var = dev.sum(axis=-1) / size
+    se = np.sqrt(var[0] / half + var[1] / half) + 1e-300
+    flags = np.abs(mean[0, :, 0] - mean[1, :, 0]) > 4.0 * se
 
     return SurpriseSample(
         draws=draws,
@@ -214,14 +213,17 @@ def _exact(model, kernel, cfg):
     return draws.reshape(cfg.chains, cfg.draws, -1), lks, np.ones(cfg.chains)
 
 
-def _kept(first: int, n: int, cfg: SamplerConfig):
-    """(position of the first post-burn-in step, positions of the retained
-    states, and their slots among the retained draws) within the chunk of
-    n steps from step `first`."""
-    lo = min(max(cfg.burnin - first, 0), n)
-    kept = np.arange(lo + (cfg.burnin - first - lo) % cfg.thin, n, cfg.thin)
-    before = max(0, -((cfg.burnin - first) // cfg.thin))  # retained before `first`
-    return lo, kept, slice(before, before + kept.size)
+def _retain(retained, retained_lk, first, n, burnin, at, states, state_lks) -> int:
+    """Keep one chain's state and log-kernel after each post-burn-in step of
+    its chunk of n steps from step `first`, and return how many of those
+    accepted.  `at` holds the chunk's accepted steps, states[i] the state
+    after the i-th of them and states[0] the chunk-start state."""
+    lo = max(burnin - first, 0)  # the chunk's first post-burn-in step, if any
+    last = np.searchsorted(at, np.arange(lo, n), side="right")
+    kept = slice(max(first - burnin, 0), max(first + n - burnin, 0))
+    retained[kept] = states[last]
+    retained_lk[kept] = state_lks[last]
+    return at.size - np.searchsorted(at, lo)
 
 
 def _independence(model, kernel, cfg):
@@ -230,7 +232,7 @@ def _independence(model, kernel, cfg):
     the module docstring."""
     center, factor = model.laplace
     chains, d = cfg.chains, center.size
-    steps = cfg.burnin + cfg.draws * cfg.thin
+    steps = cfg.burnin + cfg.draws
     streams = [[np.random.default_rng(s) for s in seq.spawn(3)]
                for seq in np.random.SeedSequence(cfg.seed).spawn(chains)]
     current = np.tile(center, (chains, 1))
@@ -249,7 +251,6 @@ def _independence(model, kernel, cfg):
         with np.errstate(divide="ignore", invalid="ignore"):
             lk = np.asarray(kernel(prop.reshape(-1, d)), dtype=float).reshape(chains, n)
         w = lk - log_q
-        lo, kept, span = _kept(first, n, cfg)
         for c in range(chains):
             u, now, at = np.log(streams[c][2].random(n)).tolist(), cur_w[c], []
             for j, wj in enumerate(w[c].tolist()):
@@ -259,14 +260,12 @@ def _independence(model, kernel, cfg):
                     now = wj
             cur_w[c] = now
             at = np.array(at, dtype=np.intp)
-            accepted_after[c] += at.size - np.searchsorted(at, lo)
             states = np.concatenate([current[c, None], prop[c, at]])
             state_lks = np.concatenate([[cur_lk[c]], lk[c, at]])
-            last = np.searchsorted(at, kept, side="right")
-            retained[c, span] = states[last]
-            retained_lk[c, span] = state_lks[last]
+            accepted_after[c] += _retain(retained[c], retained_lk[c], first, n, cfg.burnin,
+                                         at, states, state_lks)
             current[c], cur_lk[c] = states[-1], state_lks[-1]
-    return retained, retained_lk, accepted_after / (cfg.draws * cfg.thin)
+    return retained, retained_lk, accepted_after / cfg.draws
 
 
 def _metropolis(model, kernel, cfg):
@@ -281,7 +280,7 @@ def _metropolis(model, kernel, cfg):
     if chol is None:
         chol = np.eye(d)
     target = 0.44 if d == 1 else 0.234
-    steps = cfg.burnin + cfg.draws * cfg.thin
+    steps = cfg.burnin + cfg.draws
 
     chains = cfg.chains
     streams = [[np.random.default_rng(s) for s in seq.spawn(2)]
@@ -404,22 +403,16 @@ def _metropolis(model, kernel, cfg):
                     else:
                         end[c] = _window_end(t, cfg.burnin, block, first + n) - first
 
-        # Retention, deferred to the chunk's end: a chain's state after step
-        # t is its chunk-start state plus its moves accepted up to t, added
-        # in the order the steps added them.  A burn-in chunk keeps nothing.
-        lo, kept, span = _kept(first, n, cfg)
+        # A chain's state after step t is its chunk-start state plus its
+        # moves accepted up to t, added in the order the steps added them
         for c in range(chains):
             at = np.array(accepted_at[c], dtype=np.intp)
-            accepted_after[c] += at.size - np.searchsorted(at, lo)
-            if not kept.size:
-                continue
             states = np.cumsum(np.concatenate([chunk_start[c, None], moves[c, at]]), axis=0)
             state_lks = np.array([chunk_start_lk[c]] + accepted_lk[c])
-            last = np.searchsorted(at, kept, side="right")
-            retained[c, span] = states[last]
-            retained_lk[c, span] = state_lks[last]
+            accepted_after[c] += _retain(retained[c], retained_lk[c], first, n, cfg.burnin,
+                                         at, states, state_lks)
 
-    return retained, retained_lk, accepted_after / (cfg.draws * cfg.thin)
+    return retained, retained_lk, accepted_after / cfg.draws
 
 
 def _ess_initial_positive(series: np.ndarray) -> float:

@@ -191,6 +191,18 @@ class TestEv:
         assert captured.err == "error: pinned point outside parameter bounds\n"
         assert calls == []
 
+    @pytest.mark.parametrize("threshold", ["0", "1", "1.5", "nan"])
+    def test_threshold_outside_unit_interval_fails_before_sampling(self, tmp_path, capsys,
+                                                                   monkeypatch, threshold):
+        calls = []
+        monkeypatch.setattr(fbst.cli, "sample_posterior", lambda *a: calls.append(a))
+        spec = write_spec(tmp_path, {**BANANA, "hypothesis": {"equalities": ["a^2 + b^2 - 1"]}})
+        assert main(["ev", spec, "--seed", "0", "--threshold", threshold]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: threshold must lie strictly inside (0, 1)\n"
+        assert calls == []
+
     @pytest.mark.parametrize("spec, message", [
         ({**GAUSS_SPEC, "mean": [1]}, "'mean' must be a number"),
         ({"family": "polynomial-regression", "order": [2], "data": [[0, 1], [1, 2], [2, 0], [3, 4]],
@@ -330,6 +342,14 @@ class TestSelect:
     def test_unknown_builtin(self, capsys):
         assert main(["select", "--builtin", "iris"]) == 2
 
+    def test_data_without_x_and_y_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "ab.csv"
+        csv.write_text("a,b\n" + "".join(f"{i},{i * i % 7}\n" for i in range(12)))
+        assert main(["select", "--data", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dataset has no column 'x'; its columns are a, b\n"
+
     def test_csv_and_plot_outputs(self, tmp_path, capsys):
         csv = tmp_path / "table.csv"
         plot = tmp_path / "curves.csv"
@@ -424,6 +444,15 @@ class TestVerifyLogic:
     def test_tiny_grid_rejected(self, capsys):
         assert main(["verify-logic", "--grid", "2", "--seed", "0"]) == 2
 
+    def test_negative_trials_rejected(self, capsys):
+        assert main(["verify-logic", "--trials", "-5", "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --trials must be at least 0\n"
+
+    def test_zero_trials_exits_0(self, capsys):
+        code, payload = run(capsys, ["verify-logic", "--grid", "4", "--trials", "0", "--seed", "0"])
+        assert code == 0 and payload["total_violations"] == 0
+
     def test_config_hash_reproducible_across_interpreters(self):
         # each fresh interpreter lays its functions out at other addresses
         env = dict(os.environ, PYTHONPATH=str(Path(fbst.__file__).resolve().parents[1]))
@@ -474,6 +503,7 @@ class TestCompose:
     def test_malformed_network_exits_2(self, tmp_path, capsys):
         serial = NET_SPEC["serial"]
         for spec in ({"serial": []}, {"serial": 5, "disjuncts": [[]]},
+                     {"serial": [], "disjuncts": [[]]},
                      {"serial": serial, "disjuncts": [1]}, {"serial": serial, "disjuncts": []},
                      {"serial": serial, "disjuncts": [[None, None]]}):
             net = write_spec(tmp_path, spec, name="bad.json")

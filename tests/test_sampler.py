@@ -48,7 +48,7 @@ def _reference_sample(model, cfg):
     start = _initial_point(model)
     chol = model.proposal_chol if model.proposal_chol is not None else np.eye(d)
     target = 0.44 if d == 1 else 0.234
-    steps = cfg.burnin + cfg.draws * cfg.thin
+    steps = cfg.burnin + cfg.draws
 
     seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
     zs = np.empty((steps, cfg.chains, d))
@@ -83,10 +83,9 @@ def _reference_sample(model, cfg):
                 block_acc[:] = 0.0
         else:
             accepted_after += accept
-            if (t - cfg.burnin) % cfg.thin == 0:
-                retained[:, keep, :] = current
-                retained_lk[:, keep] = cur_lk
-                keep += 1
+            retained[:, keep, :] = current
+            retained_lk[:, keep] = cur_lk
+            keep += 1
 
     draws = retained.reshape(cfg.chains * cfg.draws, d)
     half = cfg.draws // 2
@@ -290,6 +289,15 @@ class TestSamplePosterior:
         with pytest.raises(TypeError):
             SamplerConfig(scale=1.0)
 
+    def test_every_post_burnin_step_is_kept(self):
+        # no thinning: `thin` is a constant 1, read only by the benchmark's
+        # step count, and not a field
+        assert [f.name for f in dataclasses.fields(SamplerConfig)] == [
+            "chains", "draws", "burnin", "seed"]
+        assert SamplerConfig().thin == 1
+        with pytest.raises(TypeError):
+            SamplerConfig(thin=2)
+
 
 def _walk(model):
     """The model without its exact draws or Laplace fit, so that the random
@@ -314,9 +322,9 @@ BIT_IDENTITY_CASES = {
                            SamplerConfig(seed=1, chains=1, draws=1_000, burnin=300)),
     "bounded-generic": (lambda _: model_from_spec(BOUNDED_SPEC)[0],
                         SamplerConfig(seed=4, chains=2, draws=1_000, burnin=300)),
-    "thin3-order1": (_regression(1), SamplerConfig(seed=5, chains=2, draws=1_000, burnin=200, thin=3)),
-    # 777 + 3 * 1000 steps: several chunks, the last one partial
-    "chunks-metropolis": (_regression(2), SamplerConfig(seed=8, chains=3, draws=1_000, burnin=777, thin=3)),
+    "order1": (_regression(1), SamplerConfig(seed=5, chains=2, draws=3_000, burnin=200)),
+    # 777 + 3000 steps: several chunks, the last one partial
+    "chunks-metropolis": (_regression(2), SamplerConfig(seed=8, chains=3, draws=3_000, burnin=777)),
     # the shapes of the benchmark's select-fbst and gaussian-batch samplers
     "select-fbst-order5": (_regression(5), SamplerConfig(seed=9, chains=4, draws=1_000, burnin=500)),
     "gaussian-batch": (lambda _: make_gaussian_mean_model(0.05, 1.0 / 200), SamplerConfig(
@@ -328,7 +336,7 @@ BIT_IDENTITY_CASES = {
     # d = 1 targets acceptance 0.44, so level 2 runs most often, and here
     # its runs are cut at adaptation points and at partial chunks' ends
     "chunks-gaussian-one-chain": (lambda _: make_gaussian_mean_model(1.0, 2.0), SamplerConfig(
-        seed=6, chains=1, draws=1_000, burnin=777, thin=3)),
+        seed=6, chains=1, draws=3_000, burnin=777)),
     # burn-in 49: the first window ends at step 50, inside a level-2 run
     "gaussian-burnin-49": (lambda _: make_gaussian_mean_model(1.0, 2.0),
                            SamplerConfig(seed=2, chains=2, draws=1_000, burnin=49)),
@@ -363,7 +371,7 @@ class TestBitIdentity:
     def test_case_spans_partial_chunks(self):
         for case in ("chunks-gaussian-one-chain", "chunks-metropolis"):
             cfg = BIT_IDENTITY_CASES[case][1]
-            steps = cfg.burnin + cfg.draws * cfg.thin
+            steps = cfg.burnin + cfg.draws
             assert steps > 2 * CHUNK and steps % CHUNK != 0
 
     def test_short_burnin_ends_within_one_round(self):
@@ -415,7 +423,7 @@ class TestPrefetch:
         model, shapes = _counting(_walk(make_gaussian_mean_model(0.05, 1.0 / 200)))
         cfg = BIT_IDENTITY_CASES["gaussian-batch"][1]
         s = sample_posterior(model, cfg)
-        steps = cfg.burnin + cfg.draws * cfg.thin
+        steps = cfg.burnin + cfg.draws
         assert len(shapes) - 1 < s.acceptance_rates.max() * steps
 
     def test_speculative_rows_raise_no_warning(self):
@@ -483,7 +491,7 @@ class TestExactDraws:
     @pytest.mark.parametrize("k", [0, 5])
     def test_seed_determinism(self, table2, k):
         model = make_polynomial_regression_model(table2, k)
-        cfg = SamplerConfig(seed=4, chains=3, draws=1_000, burnin=300, thin=2)
+        cfg = SamplerConfig(seed=4, chains=3, draws=1_000, burnin=300)
         _assert_same_sample(sample_posterior(model, cfg), sample_posterior(model, cfg))
 
     def test_chain_draws_do_not_depend_on_chain_count(self, table2):
@@ -492,12 +500,12 @@ class TestExactDraws:
         five = sample_posterior(model, SamplerConfig(seed=6, chains=5, draws=1_000))
         assert np.array_equal(five.draws[: two.size], two.draws)
 
-    def test_burnin_thin_and_scale_change_no_draw(self):
+    def test_burnin_and_scale_change_no_draw(self):
         # the random walk's scale is the model's proposal_chol
         model = make_gaussian_mean_model(1.0, 2.0)
         want = sample_posterior(model, SamplerConfig(seed=5, chains=3, draws=1_000, burnin=0))
         wide = dataclasses.replace(model, proposal_chol=3.0 * model.proposal_chol)
-        got = sample_posterior(wide, SamplerConfig(seed=5, chains=3, draws=1_000, burnin=250, thin=2))
+        got = sample_posterior(wide, SamplerConfig(seed=5, chains=3, draws=1_000, burnin=250))
         _assert_same_sample(got, want)
 
     def test_one_kernel_call(self, table2):
@@ -749,7 +757,7 @@ class TestLaplaceProposal:
     @pytest.mark.parametrize("chunk", [100, 333])
     def test_chunk_changes_no_draw(self, monkeypatch, chunk):
         model = model_from_spec(GAUSSIAN_SPEC)[0]
-        cfg = SamplerConfig(seed=3, chains=3, draws=1_000, burnin=777, thin=2)
+        cfg = SamplerConfig(seed=3, chains=3, draws=2_000, burnin=777)
         want = sample_posterior(model, cfg)
         monkeypatch.setattr(sampler, "CHUNK", chunk)
         _assert_same_sample(sample_posterior(model, cfg), want)
@@ -786,18 +794,19 @@ class TestRandomnessMemory:
 
     @pytest.mark.parametrize("sampler_name", ["metropolis", "exact", "independence"])
     def test_peak_bounded_by_chunk_not_steps(self, sampler_name):
-        # 20_000 steps per chain, 1000 retained: the reference holds every
-        # step's randomness at once, the two Metropolis samplers CHUNK
-        # steps of it, and exact draws none past the retained ones.
+        # 20_000 steps per chain, the last 1000 retained: the reference
+        # holds every step's randomness at once, the two Metropolis
+        # samplers CHUNK steps of it, and exact draws none past the
+        # retained ones.
         # Measured peaks (numpy 2.4, CHUNK = 1024, PREFETCH = 6, PREFETCH2 =
-        # 4): reference 963 kB, random walk 307 kB, exact draws 99 kB,
-        # independence (2-D) 367 kB.
+        # 4): reference 963 kB, random walk 302 kB, exact draws 99 kB,
+        # independence (2-D) 366 kB.
         model = make_gaussian_mean_model(0.0, 1.0)
         if sampler_name == "metropolis":
             model = _walk(model)
         elif sampler_name == "independence":
             model = model_from_spec(GAUSSIAN_SPEC)[0]
-        cfg = SamplerConfig(seed=0, chains=2, draws=1_000, burnin=0, thin=20)
+        cfg = SamplerConfig(seed=0, chains=2, draws=1_000, burnin=19_000)
         # a process's first sample imports modules lazily (about 700 kB of
         # module objects), which is not sampler memory; run alone, this test
         # would measure that too
